@@ -1,6 +1,7 @@
 package dhcp4
 
 import (
+	"math/rand"
 	"net/netip"
 	"testing"
 	"testing/quick"
@@ -353,5 +354,88 @@ func TestMessageRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSetDomainsOverlap pins which per-domain pool layouts SetDomains
+// accepts, and that an overlap error names one fixed pair no matter how
+// the map iterates.
+func TestSetDomainsOverlap(t *testing.T) {
+	cfg := testConfig()
+	cfg.PoolStart = netip.MustParseAddr("192.168.12.10")
+	cfg.PoolEnd = netip.MustParseAddr("192.168.12.200")
+	ip := func(last byte) netip.Addr { return netip.AddrFrom4([4]byte{192, 168, 12, last}) }
+	pool := func(a, b byte) DomainPool { return DomainPool{Start: ip(a), End: ip(b)} }
+	lookup := func([6]byte) int { return 0 }
+	tests := []struct {
+		name    string
+		pools   map[int]DomainPool
+		wantErr string // "" = accepted
+	}{
+		{"empty", map[int]DomainPool{}, ""},
+		{"single", map[int]DomainPool{0: pool(10, 20)}, ""},
+		{"adjacent", map[int]DomainPool{0: pool(10, 19), 1: pool(20, 29), 2: pool(30, 30)}, ""},
+		{"gapped out of id order", map[int]DomainPool{7: pool(50, 60), 3: pool(10, 20), 5: pool(30, 40)}, ""},
+		{"overlap by one address", map[int]DomainPool{0: pool(10, 20), 1: pool(20, 30)},
+			"dhcp4: domain 1 pool overlaps domain 0"},
+		{"nested", map[int]DomainPool{4: pool(10, 100), 2: pool(40, 50)},
+			"dhcp4: domain 2 pool overlaps domain 4"},
+		{"nested after a wide pool", map[int]DomainPool{0: pool(10, 100), 1: pool(20, 30), 2: pool(40, 50)},
+			"dhcp4: domain 1 pool overlaps domain 0"},
+		{"identical", map[int]DomainPool{9: pool(10, 20), 8: pool(10, 20)},
+			"dhcp4: domain 9 pool overlaps domain 8"},
+		{"first error in Start order", map[int]DomainPool{0: pool(10, 20), 1: pool(15, 25), 2: pool(12, 11)},
+			"dhcp4: domain 2 pool 192.168.12.12-192.168.12.11 invalid"},
+		{"overlap before a later invalid pool", map[int]DomainPool{0: pool(10, 20), 1: pool(15, 25), 2: pool(40, 30)},
+			"dhcp4: domain 1 pool overlaps domain 0"},
+		{"outside scope", map[int]DomainPool{0: pool(5, 20)},
+			"dhcp4: domain 0 pool 192.168.12.5-192.168.12.20 outside scope 192.168.12.10-192.168.12.200"},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			// Repeat so differing map iteration orders get a chance to
+			// name a different pair.
+			for i := 0; i < 20; i++ {
+				err := newServer(t, cfg, newFakeClock()).SetDomains(tt.pools, lookup)
+				got := ""
+				if err != nil {
+					got = err.Error()
+				}
+				if got != tt.wantErr {
+					t.Fatalf("SetDomains = %q, want %q", got, tt.wantErr)
+				}
+			}
+		})
+	}
+}
+
+// TestSetDomainsMatchesPairwiseCheck holds the sweep to the pairwise
+// definition of overlap over random layouts of up to six pools.
+func TestSetDomainsMatchesPairwiseCheck(t *testing.T) {
+	cfg := testConfig()
+	cfg.PoolStart = netip.MustParseAddr("192.168.12.0")
+	cfg.PoolEnd = netip.MustParseAddr("192.168.12.63")
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 2000; trial++ {
+		pools := map[int]DomainPool{}
+		for id := 0; id < 1+rng.Intn(6); id++ {
+			a, b := byte(rng.Intn(64)), byte(rng.Intn(64))
+			if a > b {
+				a, b = b, a
+			}
+			pools[id] = DomainPool{Start: netip.AddrFrom4([4]byte{192, 168, 12, a}), End: netip.AddrFrom4([4]byte{192, 168, 12, b})}
+		}
+		overlap := false
+		for i, p := range pools {
+			for j, q := range pools {
+				if i != j && p.Start.Compare(q.End) <= 0 && q.Start.Compare(p.End) <= 0 {
+					overlap = true
+				}
+			}
+		}
+		err := newServer(t, cfg, newFakeClock()).SetDomains(pools, func([6]byte) int { return 0 })
+		if (err != nil) != overlap {
+			t.Fatalf("pools %v: SetDomains error %v, pairwise overlap %v", pools, err, overlap)
+		}
 	}
 }

@@ -1,8 +1,10 @@
 package dhcp4
 
 import (
+	"cmp"
 	"fmt"
 	"net/netip"
+	"slices"
 	"time"
 )
 
@@ -102,26 +104,44 @@ type domainState struct {
 // testbed this is the relay-agent giaddr selecting a subnet scope; the
 // simulator collapses the relay hop and keys on the client MAC instead
 // (every frame here would have arrived via the domain's own trunk).
-// Pools must sit inside the server's scope and must not overlap.
+// Pools must sit inside the server's scope and must not overlap; the
+// error for an overlap names the same pair of domains on every call.
 func (s *Server) SetDomains(pools map[int]DomainPool, lookup func(chaddr [6]byte) int) error {
 	if lookup == nil {
 		return fmt.Errorf("dhcp4: SetDomains needs a domain lookup")
 	}
-	ds := make(map[int]*domainState, len(pools))
+	type domain struct {
+		id   int
+		pool DomainPool
+	}
+	byStart := make([]domain, 0, len(pools))
 	for id, p := range pools {
+		byStart = append(byStart, domain{id, p})
+	}
+	// Sweep by Start, ties by id, so the first error is the same on every
+	// call. Until the first overlap the pools seen are disjoint, so the
+	// previous pool reaches furthest: a pool overlaps an earlier one
+	// exactly when it starts at or before the previous pool's End.
+	slices.SortFunc(byStart, func(a, b domain) int {
+		if c := a.pool.Start.Compare(b.pool.Start); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.id, b.id)
+	})
+	ds := make(map[int]*domainState, len(pools))
+	for i, d := range byStart {
+		p := d.pool
 		if !p.Start.Is4() || !p.End.Is4() || p.Start.Compare(p.End) > 0 {
-			return fmt.Errorf("dhcp4: domain %d pool %v-%v invalid", id, p.Start, p.End)
+			return fmt.Errorf("dhcp4: domain %d pool %v-%v invalid", d.id, p.Start, p.End)
 		}
 		if !s.inPool(p.Start) || !s.inPool(p.End) {
 			return fmt.Errorf("dhcp4: domain %d pool %v-%v outside scope %v-%v",
-				id, p.Start, p.End, s.cfg.PoolStart, s.cfg.PoolEnd)
+				d.id, p.Start, p.End, s.cfg.PoolStart, s.cfg.PoolEnd)
 		}
-		for other, q := range pools {
-			if other != id && p.Start.Compare(q.End) <= 0 && q.Start.Compare(p.End) <= 0 {
-				return fmt.Errorf("dhcp4: domain %d pool overlaps domain %d", id, other)
-			}
+		if i > 0 && p.Start.Compare(byStart[i-1].pool.End) <= 0 {
+			return fmt.Errorf("dhcp4: domain %d pool overlaps domain %d", d.id, byStart[i-1].id)
 		}
-		ds[id] = &domainState{pool: p, cursor: p.Start}
+		ds[d.id] = &domainState{pool: p, cursor: p.Start}
 	}
 	s.domains = ds
 	s.domainOf = lookup

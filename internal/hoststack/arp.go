@@ -16,9 +16,13 @@ func (h *Host) handleARP(f netsim.Frame) {
 	if err != nil {
 		return
 	}
-	// Learn the sender opportunistically.
+	// Learn the sender opportunistically. Every host hears every ARP
+	// broadcast on the LAN, so an unchanged entry is not rewritten.
 	if a.SenderIP.IsValid() && a.SenderIP != (netip.AddrFrom4([4]byte{})) {
-		h.arpCache[a.SenderIP] = netsim.MAC(a.SenderMAC)
+		mac := netsim.MAC(a.SenderMAC)
+		if old, ok := h.arpCache[a.SenderIP]; !ok || old != mac {
+			h.arpCache[a.SenderIP] = mac
+		}
 		h.flushARPPending(a.SenderIP)
 	}
 	if a.Op == packet.ARPRequest && h.ownsV4(a.TargetIP) {
@@ -46,6 +50,9 @@ func (h *Host) sendARPRequest(target netip.Addr) {
 }
 
 func (h *Host) flushARPPending(addr netip.Addr) {
+	if len(h.arpPending) == 0 {
+		return
+	}
 	mac, ok := h.arpCache[addr]
 	if !ok {
 		return

@@ -15,6 +15,11 @@ import (
 // reuse. The capture contract matches netsim.Mark: the host must be
 // quiescent (no DHCP retransmit/renew timers armed), which holds for
 // infrastructure hosts with static IPv4 configuration.
+//
+// The RA memo (verified Router Advertisement bytes per advertising
+// router) is a derived cache, not protocol state: it is not captured,
+// and Restore empties it, so a restored host holds exactly the state of
+// a freshly built one and re-verifies the first RA from each router.
 type HostCheckpoint struct {
 	v6Addrs []V6Addr
 	routers []routerEntry
@@ -128,6 +133,7 @@ func (h *Host) Restore(c *HostCheckpoint) {
 	h.rdnss = append(h.rdnss[:0], c.rdnss...)
 	h.ndCache = cloneMACMap(c.ndCache)
 	h.ndPending = make(map[netip.Addr][]*packet.IPv6)
+	h.raMemos = nil
 
 	h.v4Addr = c.v4Addr
 	h.v4Aliases = append(h.v4Aliases[:0], c.v4Aliases...)

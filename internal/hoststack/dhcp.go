@@ -64,18 +64,8 @@ func (h *Host) dhcpStart() {
 		Renewals: h.dhcp.Renewals, Retransmits: h.dhcp.Retransmits,
 	}
 	h.udpBind[dhcp4.ClientPort] = func(_ netip.Addr, _ uint16, _ netip.Addr, payload []byte) {
-		// Fixed-offset peek before the full parse: every client hears
-		// every broadcast OFFER/ACK on the LAN, and handleDHCPReply drops
-		// anything whose op/xid/chaddr is not ours — check those three
-		// fields first so other clients' exchanges cost nothing. Short
-		// payloads fall through; Parse rejects them exactly as before.
-		if len(payload) >= 34 {
-			xid := uint32(payload[4])<<24 | uint32(payload[5])<<16 |
-				uint32(payload[6])<<8 | uint32(payload[7])
-			if payload[0] != dhcp4.OpReply || xid != h.dhcp.xid ||
-				[6]byte(payload[28:34]) != [6]byte(h.NIC.MAC()) {
-				return
-			}
+		if h.foreignDHCPReply(payload) {
+			return
 		}
 		if msg, err := dhcp4.Parse(payload); err == nil {
 			h.handleDHCPReply(msg)
@@ -180,13 +170,31 @@ func (h *Host) sendDHCP(msg *dhcp4.Message) {
 	h.NIC.Transmit(netsim.Frame{Dst: netsim.Broadcast, EtherType: netsim.EtherTypeIPv4, Payload: p.Marshal()})
 }
 
-// handleDHCPReply processes OFFER/ACK/NAK addressed to this client. The
-// host recognizes DHCP replies before normal delivery because it has no
-// IPv4 address yet.
-func (h *Host) handleDHCPReply(msg *dhcp4.Message) {
-	if msg.Op != dhcp4.OpReply || msg.CHAddr != [6]byte(h.NIC.MAC()) || msg.XID != h.dhcp.xid {
-		return
+// dhcpReplyPeekLen covers the BOOTP fixed fields foreignDHCPReply reads:
+// op (byte 0), xid (bytes 4-7) and the first six chaddr bytes (28-33).
+const dhcpReplyPeekLen = 34
+
+// foreignDHCPReply reports whether a payload on the client port is
+// visibly not a reply to this client's transaction: not a BOOTREPLY, or
+// another transaction's xid, or another client's chaddr. Every client
+// hears every broadcast OFFER/ACK on the LAN, so this fixed-offset test
+// runs before any parse — in the port-68 handler, and before the IP and
+// UDP headers are even verified in rejectBroadcastUDP. A payload too
+// short to hold the fields is not judged here; dhcp4.Parse rejects it.
+func (h *Host) foreignDHCPReply(payload []byte) bool {
+	if len(payload) < dhcpReplyPeekLen {
+		return false
 	}
+	xid := uint32(payload[4])<<24 | uint32(payload[5])<<16 | uint32(payload[6])<<8 | uint32(payload[7])
+	return payload[0] != dhcp4.OpReply || xid != h.dhcp.xid ||
+		[6]byte(payload[28:34]) != [6]byte(h.NIC.MAC())
+}
+
+// handleDHCPReply processes an OFFER/ACK/NAK that passed
+// foreignDHCPReply, i.e. a reply to this client's transaction. The host
+// recognizes DHCP replies before normal delivery because it has no IPv4
+// address yet.
+func (h *Host) handleDHCPReply(msg *dhcp4.Message) {
 	switch msg.Type() {
 	case dhcp4.Offer:
 		if h.dhcp.state != "selecting" {

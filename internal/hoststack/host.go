@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/clat"
+	"repro/internal/dhcp4"
 	"repro/internal/ndp"
 	"repro/internal/netsim"
 	"repro/internal/packet"
@@ -56,6 +57,7 @@ type Host struct {
 	rdnss     []netip.Addr
 	ndCache   map[netip.Addr]netsim.MAC
 	ndPending map[netip.Addr][]*packet.IPv6
+	raMemos   []raMemo // verified RAs, one per advertising router
 
 	// IPv4 state.
 	v4Addr     netip.Addr
@@ -420,12 +422,18 @@ func (h *Host) HandleFrame(_ *netsim.NIC, f netsim.Frame) {
 
 // rejectBroadcastUDP reports whether a link-broadcast IPv4 payload can
 // be dropped on a fixed-offset peek: an unfragmented limited-broadcast
-// UDP datagram to a port nobody here is bound to. Every DHCPv4 DISCOVER
-// on the LAN reaches every IPv4 host; non-servers drop them here
-// without parsing headers or verifying checksums. Anything unusual
-// (options are fine, fragments and short packets are not) falls through
-// to the full parse, which drops the same frames more slowly — the peek
-// only ever rejects what deliverIPv4 would reject.
+// UDP datagram to a port nobody here is bound to, or a DHCPv4 reply on
+// the client port that foreignDHCPReply disowns. Every DHCPv4 DISCOVER
+// on the LAN reaches every IPv4 host, and every broadcast OFFER/ACK
+// reaches every client whose DHCP client keeps port 68 bound; both are
+// dropped here without parsing headers or verifying checksums. Anything
+// unusual (options are fine, fragments and short packets are not) falls
+// through to the full parse, which drops the same frames more slowly —
+// the peek only ever rejects what deliverIPv4 would reject. For the
+// DHCP case that holds because the UDP payload starts at the same
+// offset either way, the IP and UDP parses have no side effects, and a
+// datagram whose UDP length cuts the peeked fields off fails
+// dhcp4.Parse in the handler.
 func (h *Host) rejectBroadcastUDP(b []byte) bool {
 	if len(b) < packet.IPv4MinHeaderLen || b[0]>>4 != 4 {
 		return false
@@ -444,6 +452,8 @@ func (h *Host) rejectBroadcastUDP(b []byte) bool {
 		return false // subnet-directed broadcast etc.: full path
 	}
 	dstPort := uint16(b[hlen+2])<<8 | uint16(b[hlen+3])
-	_, bound := h.udpBind[dstPort]
-	return !bound
+	if _, bound := h.udpBind[dstPort]; !bound {
+		return true
+	}
+	return dstPort == dhcp4.ClientPort && h.foreignDHCPReply(b[hlen+packet.UDPHeaderLen:])
 }

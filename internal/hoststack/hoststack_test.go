@@ -104,17 +104,23 @@ func newRARouter(net *netsim.Network, name string, ra *ndp.RouterAdvert) *raRout
 	return r
 }
 
-// advertise multicasts one RA to all-nodes.
-func (r *raRouter) advertise() {
+// frame builds the router's RA as an all-nodes multicast frame.
+func (r *raRouter) frame() netsim.Frame {
+	return r.frameTo(ndp.AllNodes, netsim.MAC(packet.MulticastMAC(ndp.AllNodes)))
+}
+
+// frameTo builds the router's RA addressed to dst at dstMAC.
+func (r *raRouter) frameTo(dst netip.Addr, dstMAC netsim.MAC) netsim.Frame {
 	r.ra.SourceLinkAddr = r.host.NIC.MAC()
 	r.ra.HasSourceLink = true
 	src := r.host.LinkLocal()
-	body := (&packet.ICMP{Type: packet.ICMPv6RouterAdvert, Body: r.ra.Marshal()}).MarshalV6(src, ndp.AllNodes)
-	p := &packet.IPv6{NextHeader: packet.ProtoICMPv6, HopLimit: 255, Src: src, Dst: ndp.AllNodes, Payload: body}
-	r.host.NIC.Transmit(netsim.Frame{
-		Dst: netsim.MAC(packet.MulticastMAC(ndp.AllNodes)), EtherType: netsim.EtherTypeIPv6, Payload: p.Marshal(),
-	})
+	body := (&packet.ICMP{Type: packet.ICMPv6RouterAdvert, Body: r.ra.Marshal()}).MarshalV6(src, dst)
+	p := &packet.IPv6{NextHeader: packet.ProtoICMPv6, HopLimit: 255, Src: src, Dst: dst, Payload: body}
+	return netsim.Frame{Dst: dstMAC, Src: r.host.NIC.MAC(), EtherType: netsim.EtherTypeIPv6, Payload: p.Marshal()}
 }
+
+// advertise multicasts one RA to all-nodes.
+func (r *raRouter) advertise() { r.host.NIC.Transmit(r.frame()) }
 
 func TestSLAACAndRDNSSFromRA(t *testing.T) {
 	net := netsim.NewNetwork()

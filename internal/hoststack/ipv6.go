@@ -1,6 +1,7 @@
 package hoststack
 
 import (
+	"bytes"
 	"net/netip"
 	"time"
 
@@ -35,7 +36,7 @@ func (h *Host) SendIPv6(p *packet.IPv6) error {
 		return nil
 	}
 	if h.ownsV6(p.Dst) {
-		h.deliverIPv6(p)
+		h.deliverIPv6(p, nil)
 		return nil
 	}
 	nextHop, err := h.nextHopV6(p.Dst)
@@ -98,6 +99,9 @@ func (h *Host) sendNeighborSolicit(target netip.Addr) {
 }
 
 func (h *Host) flushNDPending(addr netip.Addr) {
+	if len(h.ndPending) == 0 {
+		return
+	}
 	mac, ok := h.ndCache[addr]
 	if !ok {
 		return
@@ -108,31 +112,101 @@ func (h *Host) flushNDPending(addr netip.Addr) {
 	delete(h.ndPending, addr)
 }
 
-func (h *Host) handleIPv6Frame(f netsim.Frame) {
-	p, err := packet.ParseIPv6(f.Payload)
-	if err != nil {
-		return
+// raMemo is one Router Advertisement this host has already verified
+// and parsed: the exact IPv6 packet bytes whose ICMPv6 checksum held and
+// whose RA body parsed, with the header addresses and the parsed RA. It
+// is a derived cache — nothing in it is state a fresh host lacks.
+type raMemo struct {
+	pkt      []byte
+	src, dst netip.Addr
+	ra       *ndp.RouterAdvert
+}
+
+// raMemoSlots bounds the RA memo. A LAN has a handful of advertising
+// routers (the Fig. 4 floor has two); past the bound the last slot is
+// recycled, which costs hits, never correctness.
+const raMemoSlots = 4
+
+// memoizedRA returns the memo entry whose packet bytes equal pkt, or
+// nil. Both checks the full path makes on those bytes — the ICMPv6
+// checksum and the RA parse — are pure functions of them, so a
+// byte-identical frame would verify and parse to the same RA again.
+func (h *Host) memoizedRA(pkt []byte) *raMemo {
+	for i := range h.raMemos {
+		if m := &h.raMemos[i]; bytes.Equal(m.pkt, pkt) {
+			return m
+		}
 	}
-	if !h.ownsV6(p.Dst) {
+	return nil
+}
+
+// rememberRA records a verified RA as its router's memo entry, replacing
+// that router's previous one. Routers' periodic RAs alternate on a
+// shared LAN, so entries are kept per source; a single slot would miss
+// every time.
+func (h *Host) rememberRA(pkt []byte, src, dst netip.Addr, ra *ndp.RouterAdvert) {
+	i := 0
+	for i < len(h.raMemos) && h.raMemos[i].src != src {
+		i++
+	}
+	if i == len(h.raMemos) {
+		if i < raMemoSlots {
+			h.raMemos = append(h.raMemos, raMemo{})
+		} else {
+			i--
+		}
+	}
+	m := &h.raMemos[i]
+	// Frame payloads live in the network's payload arena, which
+	// RecycleArena may reuse; keep a private copy.
+	m.pkt = append(m.pkt[:0], pkt...)
+	m.src, m.dst, m.ra = src, dst, ra
+}
+
+// handleIPv6Frame receives one IPv6 frame. A byte-identical repeat of a
+// memoized RA skips the IPv6 parse, the ICMPv6 checksum and the RA
+// parse; the destination check, neighbor gleaning and processRA run for
+// it exactly as for a parsed frame.
+func (h *Host) handleIPv6Frame(f netsim.Frame) {
+	m := h.memoizedRA(f.Payload)
+	var p *packet.IPv6
+	var src, dst netip.Addr
+	if m != nil {
+		src, dst = m.src, m.dst
+	} else {
+		var err error
+		if p, err = packet.ParseIPv6(f.Payload); err != nil {
+			return
+		}
+		src, dst = p.Src, p.Dst
+	}
+	if !h.ownsV6(dst) {
 		return
 	}
 	// Servers in scoped-flood (fabric) worlds glean neighbors from the
 	// traffic they serve, exactly as the gateway does: an ND multicast
 	// solicitation toward a client would never cross a scoped trunk, so
 	// the reply path must come from the request itself.
-	if h.gleanND && !p.Src.IsMulticast() && p.Src.IsValid() && !f.Src.IsZero() {
-		if _, known := h.ndCache[p.Src]; !known {
-			h.ndCache[p.Src] = f.Src
-			h.flushNDPending(p.Src)
+	if h.gleanND && !src.IsMulticast() && src.IsValid() && !f.Src.IsZero() {
+		if _, known := h.ndCache[src]; !known {
+			h.ndCache[src] = f.Src
+			h.flushNDPending(src)
 		}
 	}
-	h.deliverIPv6(p)
+	if m != nil {
+		h.processRA(src, m.ra)
+		return
+	}
+	h.deliverIPv6(p, f.Payload)
 }
 
-func (h *Host) deliverIPv6(p *packet.IPv6) {
+// deliverIPv6 hands a parsed packet to its transport. raw is the
+// packet's wire bytes when it arrived off the link (so a verified RA can
+// be memoized) and nil for loopback delivery.
+func (h *Host) deliverIPv6(p *packet.IPv6, raw []byte) {
 	switch p.NextHeader {
 	case packet.ProtoICMPv6:
-		h.handleICMPv6(p)
+		h.handleICMPv6(p, raw)
 	case packet.ProtoUDP:
 		u, err := packet.ParseUDP(p.Payload, p.Src, p.Dst)
 		if err != nil {
@@ -168,7 +242,7 @@ func (h *Host) deliverViaCLAT(p *packet.IPv6) {
 	h.deliverIPv4(v4)
 }
 
-func (h *Host) handleICMPv6(p *packet.IPv6) {
+func (h *Host) handleICMPv6(p *packet.IPv6, raw []byte) {
 	ic, err := packet.ParseICMPv6(p.Payload, p.Src, p.Dst)
 	if err != nil {
 		return
@@ -178,6 +252,9 @@ func (h *Host) handleICMPv6(p *packet.IPv6) {
 		ra, err := ndp.ParseRouterAdvert(ic.Body)
 		if err != nil {
 			return
+		}
+		if raw != nil {
+			h.rememberRA(raw, p.Src, p.Dst, ra)
 		}
 		h.processRA(p.Src, ra)
 	case packet.ICMPv6NeighborSolicit:
@@ -246,11 +323,15 @@ func (h *Host) ownsUnicastV6(addr netip.Addr) bool {
 }
 
 // processRA applies a Router Advertisement: default-router list, SLAAC
-// address formation, and RDNSS learning.
+// address formation, and RDNSS learning. ra may be a memoized RA that
+// every later repeat of the same bytes reuses, so it is read-only here.
 func (h *Host) processRA(src netip.Addr, ra *ndp.RouterAdvert) {
 	now := h.Net.Clock.Now()
 	if ra.HasSourceLink {
-		h.ndCache[src] = netsim.MAC(ra.SourceLinkAddr)
+		mac := netsim.MAC(ra.SourceLinkAddr)
+		if old, ok := h.ndCache[src]; !ok || old != mac {
+			h.ndCache[src] = mac
+		}
 		h.flushNDPending(src)
 	}
 	if ra.RouterLifetime > 0 {
@@ -276,7 +357,8 @@ func (h *Host) processRA(src netip.Addr, ra *ndp.RouterAdvert) {
 		}
 	}
 	h.expireV6Addrs(now)
-	for _, pi := range ra.Prefixes {
+	for k := range ra.Prefixes {
+		pi := &ra.Prefixes[k]
 		if !pi.Autonomous || pi.Prefix.Bits() != 64 || pi.ValidLifetime == 0 {
 			continue
 		}

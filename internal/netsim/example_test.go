@@ -19,7 +19,7 @@ func ExampleImpairment() {
 	n.Connect(a, b)
 
 	a.SetImpairment(netsim.Impairment{
-		Loss:      0.25,                  // drop 1 in 4 frames
+		Loss:      0.25,                   // drop 1 in 4 frames
 		FlapEvery: 100 * time.Millisecond, // and go dark...
 		FlapDown:  20 * time.Millisecond,  // ...for the last 20ms of each period
 	}, 42)
