@@ -19,6 +19,7 @@ import (
 	"repro/internal/pathology"
 	"repro/internal/portal"
 	"repro/internal/profiles"
+	"repro/internal/profiling"
 	"repro/internal/scenario"
 	"repro/internal/testbed"
 )
@@ -65,6 +66,10 @@ var pathologyTarget string
 // binary into the experiments.json grid-runner mode.
 var gridFile string
 
+// cpuProfile / memProfile hold the <file> from -cpuprofile=<file> and
+// -memprofile=<file>; empty means no profile.
+var cpuProfile, memProfile string
+
 // usageText is the generated flags reference. It is printed for
 // -h/-help/help and pinned verbatim inside README.md's
 // experiments-flags block, so the docs and the binary cannot diverge
@@ -85,6 +90,8 @@ func usageText() string {
 	fmt.Fprintf(&b, "  -pathology=<name>  fingerprint a single registered pathology and decode it\n")
 	fmt.Fprintf(&b, "                     (the PATHOLOGIES.md repro command); names: %s\n",
 		strings.Join(pathology.Names(), ", "))
+	fmt.Fprintf(&b, "  -cpuprofile=<file> write a CPU profile of the run to <file> (go tool pprof)\n")
+	fmt.Fprintf(&b, "  -memprofile=<file> write a heap profile to <file> when the run ends\n")
 	fmt.Fprintf(&b, "  -h, -help          print this reference\n")
 	return b.String()
 }
@@ -105,16 +112,38 @@ func main() {
 			case "grid":
 				gridFile = v
 				a = k
+			case "cpuprofile":
+				cpuProfile = v
+				continue
+			case "memprofile":
+				memProfile = v
+				continue
 			}
 		}
 		want[a] = true
 	}
+	stop, err := profiling.Start(cpuProfile, memProfile)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "experiments: profile: %v\n", err)
+		os.Exit(1)
+	}
+	code := run(want)
+	if err := stop(); err != nil {
+		fmt.Fprintf(os.Stderr, "experiments: profile: %v\n", err)
+		code = 1
+	}
+	os.Exit(code)
+}
+
+// run executes the grid or the selected experiments and returns the
+// process exit code.
+func run(want map[string]bool) int {
 	if gridFile != "" {
 		if err := runGrid(gridFile); err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: grid: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
-		return
+		return 0
 	}
 	for _, e := range exps {
 		if len(want) > 0 && !want[e.id] {
@@ -124,6 +153,7 @@ func main() {
 		e.run()
 		fmt.Println()
 	}
+	return 0
 }
 
 func fetcher(tb *testbed.Testbed, clientIdx int) portal.Fetcher {

@@ -14,6 +14,7 @@ import (
 	"repro/internal/hoststack"
 	"repro/internal/netsim"
 	"repro/internal/profiles"
+	"repro/internal/profiling"
 	"repro/internal/testbed"
 	"repro/internal/trace"
 )
@@ -32,7 +33,20 @@ func main() {
 	chaosSeed := flag.Uint64("chaos-seed", 1, "seed for the per-client impairment streams")
 	fabric := flag.Int("fabric", 0, "build a hierarchical fabric with N access switches instead of the flat Fig. 4 LAN")
 	clientsPer := flag.Int("clients-per", 64, "registered clients per access switch (with -fabric)")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to `file` (go tool pprof)")
+	memProfile := flag.String("memprofile", "", "write a heap profile to `file` when the run ends")
 	flag.Parse()
+	stop, err := profiling.Start(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "profile: %v\n", err)
+		os.Exit(1)
+	}
+	defer func() {
+		if err := stop(); err != nil {
+			fmt.Fprintf(os.Stderr, "profile: %v\n", err)
+			os.Exit(1)
+		}
+	}()
 
 	opt := testbed.DefaultOptions()
 	switch *poison {

@@ -87,6 +87,9 @@ type Gateway struct {
 
 	lan *netsim.NIC
 	wan *netsim.NIC
+	// txBuf is the scratch buffer every outgoing IP packet is encoded
+	// into; see transmitIPv6.
+	txBuf []byte
 
 	linkLocal  netip.Addr
 	wanPeerMAC netsim.MAC
@@ -391,9 +394,7 @@ func (g *Gateway) sendRA() {
 	ra := g.buildRA()
 	body := (&packet.ICMP{Type: packet.ICMPv6RouterAdvert, Body: ra.Marshal()}).MarshalV6(g.linkLocal, ndp.AllNodes)
 	p := &packet.IPv6{NextHeader: packet.ProtoICMPv6, HopLimit: 255, Src: g.linkLocal, Dst: ndp.AllNodes, Payload: body}
-	g.lan.Transmit(netsim.Frame{
-		Dst: netsim.MAC(packet.MulticastMAC(ndp.AllNodes)), EtherType: netsim.EtherTypeIPv6, Payload: p.Marshal(),
-	})
+	g.transmitIPv6(g.lan, netsim.MAC(packet.MulticastMAC(ndp.AllNodes)), p)
 	g.RAsSent++
 }
 
@@ -409,7 +410,7 @@ func (g *Gateway) sendRAUnicast(dst netsim.MAC, dstIP netip.Addr) {
 	ra := g.buildRA()
 	body := (&packet.ICMP{Type: packet.ICMPv6RouterAdvert, Body: ra.Marshal()}).MarshalV6(g.linkLocal, dstIP)
 	p := &packet.IPv6{NextHeader: packet.ProtoICMPv6, HopLimit: 255, Src: g.linkLocal, Dst: dstIP, Payload: body}
-	g.lan.Transmit(netsim.Frame{Dst: dst, EtherType: netsim.EtherTypeIPv6, Payload: p.Marshal()})
+	g.transmitIPv6(g.lan, dst, p)
 	g.RAsSent++
 }
 
@@ -418,6 +419,22 @@ func (g *Gateway) sendRAUnicast(dst netsim.MAC, dstIP netip.Addr) {
 // rogue OFFERs are domain-stable too.
 func (g *Gateway) ScopeLeases(pools map[int]dhcp4.DomainPool, lookup func(chaddr [6]byte) int) error {
 	return g.DHCP.SetDomains(pools, lookup)
+}
+
+// transmitIPv6 encodes p into the gateway's scratch buffer and sends it
+// out nic to the link address dst. NIC.Transmit copies the payload
+// before it returns and never delivers synchronously, so one buffer
+// serves every send. The IPv4 and IPv6 versions are separate functions
+// because a packet passed as an interface value escapes to the heap.
+func (g *Gateway) transmitIPv6(nic *netsim.NIC, dst netsim.MAC, p *packet.IPv6) {
+	g.txBuf = p.AppendMarshal(g.txBuf[:0])
+	nic.Transmit(netsim.Frame{Dst: dst, EtherType: netsim.EtherTypeIPv6, Payload: g.txBuf})
+}
+
+// transmitIPv4 is transmitIPv6 for IPv4.
+func (g *Gateway) transmitIPv4(nic *netsim.NIC, dst netsim.MAC, p *packet.IPv4) {
+	g.txBuf = p.AppendMarshal(g.txBuf[:0])
+	nic.Transmit(netsim.Frame{Dst: dst, EtherType: netsim.EtherTypeIPv4, Payload: g.txBuf})
 }
 
 // --- LAN side -----------------------------------------------------------
@@ -479,7 +496,7 @@ func (g *Gateway) handleLANv4(f netsim.Frame) {
 		return
 	}
 	g.V4Forwarded++
-	g.wan.Transmit(netsim.Frame{Dst: g.wanPeerMAC, EtherType: netsim.EtherTypeIPv4, Payload: out.Marshal()})
+	g.transmitIPv4(g.wan, g.wanPeerMAC, out)
 }
 
 // handleLocalV4 serves the gateway's own IPv4 services: DHCP, the DNS
@@ -507,7 +524,7 @@ func (g *Gateway) handleLocalV4(f netsim.Frame, p *packet.IPv4) {
 			Payload: (&packet.ICMP{Type: packet.ICMPv4EchoReply, Body: ic.Body}).MarshalV4(),
 		}
 		if mac, ok := g.arp[p.Src]; ok {
-			g.lan.Transmit(netsim.Frame{Dst: mac, EtherType: netsim.EtherTypeIPv4, Payload: reply.Marshal()})
+			g.transmitIPv4(g.lan, mac, reply)
 		}
 	}
 }
@@ -528,7 +545,7 @@ func (g *Gateway) handleDHCP(f netsim.Frame, u *packet.UDP) {
 	if resp.Broadcast {
 		dst = netsim.Broadcast
 	}
-	g.lan.Transmit(netsim.Frame{Dst: dst, EtherType: netsim.EtherTypeIPv4, Payload: rp.Marshal()})
+	g.transmitIPv4(g.lan, dst, rp)
 }
 
 func (g *Gateway) handleDNSProxy(f netsim.Frame, p *packet.IPv4, u *packet.UDP) {
@@ -549,7 +566,7 @@ func (g *Gateway) handleDNSProxy(f netsim.Frame, p *packet.IPv4, u *packet.UDP) 
 	}
 	ru := &packet.UDP{SrcPort: 53, DstPort: u.SrcPort, Payload: wire}
 	rp := &packet.IPv4{Protocol: packet.ProtoUDP, TTL: 64, Src: g.cfg.LANv4, Dst: p.Src, Payload: ru.Marshal(g.cfg.LANv4, p.Src)}
-	g.lan.Transmit(netsim.Frame{Dst: f.Src, EtherType: netsim.EtherTypeIPv4, Payload: rp.Marshal()})
+	g.transmitIPv4(g.lan, f.Src, rp)
 }
 
 func (g *Gateway) handleLANv6(f netsim.Frame) {
@@ -591,7 +608,7 @@ func (g *Gateway) handleLANv6(f netsim.Frame) {
 			}
 			return
 		}
-		g.wan.Transmit(netsim.Frame{Dst: g.wanPeerMAC, EtherType: netsim.EtherTypeIPv4, Payload: out.Marshal()})
+		g.transmitIPv4(g.wan, g.wanPeerMAC, out)
 		return
 	}
 	// Native v6 forwarding LAN -> WAN.
@@ -611,7 +628,7 @@ func (g *Gateway) handleLANv6(f netsim.Frame) {
 	}
 	p.HopLimit--
 	g.V6Forwarded++
-	g.wan.Transmit(netsim.Frame{Dst: g.wanPeerMAC, EtherType: netsim.EtherTypeIPv6, Payload: p.Marshal()})
+	g.transmitIPv6(g.wan, g.wanPeerMAC, p)
 }
 
 // tooBig reports whether an IPv6 packet exceeds the 5G link MTU.
@@ -643,7 +660,7 @@ func (g *Gateway) SuppressPTB(on bool) { g.suppressPTB = on }
 // fast instead of timing out against silence.
 func (g *Gateway) sendExhaustionToLAN(f netsim.Frame, p *packet.IPv6) {
 	reply := nat64.ExhaustionUnreachable(g.linkLocal, p)
-	g.lan.Transmit(netsim.Frame{Dst: f.Src, EtherType: netsim.EtherTypeIPv6, Payload: reply.Marshal()})
+	g.transmitIPv6(g.lan, f.Src, reply)
 	g.ExhaustionSignaled++
 }
 
@@ -655,7 +672,7 @@ func (g *Gateway) sendPTBToLAN(f netsim.Frame, p *packet.IPv6) {
 	}
 	body := (&packet.ICMP{Type: packet.ICMPv6PacketTooBig, Body: g.ptbBody(p)}).MarshalV6(g.linkLocal, p.Src)
 	reply := &packet.IPv6{NextHeader: packet.ProtoICMPv6, HopLimit: 255, Src: g.linkLocal, Dst: p.Src, Payload: body}
-	g.lan.Transmit(netsim.Frame{Dst: f.Src, EtherType: netsim.EtherTypeIPv6, Payload: reply.Marshal()})
+	g.transmitIPv6(g.lan, f.Src, reply)
 	g.PTBSent++
 }
 
@@ -669,7 +686,7 @@ func (g *Gateway) sendPTBToWAN(p *packet.IPv6) {
 	src := ndp.LinkLocal(g.wan.MAC())
 	body := (&packet.ICMP{Type: packet.ICMPv6PacketTooBig, Body: g.ptbBody(p)}).MarshalV6(src, p.Src)
 	reply := &packet.IPv6{NextHeader: packet.ProtoICMPv6, HopLimit: 255, Src: src, Dst: p.Src, Payload: body}
-	g.wan.Transmit(netsim.Frame{Dst: g.wanPeerMAC, EtherType: netsim.EtherTypeIPv6, Payload: reply.Marshal()})
+	g.transmitIPv6(g.wan, g.wanPeerMAC, reply)
 	g.PTBSent++
 }
 
@@ -702,13 +719,13 @@ func (g *Gateway) handleLANICMPv6(f netsim.Frame, p *packet.IPv6) bool {
 		}
 		body := (&packet.ICMP{Type: packet.ICMPv6NeighborAdvert, Body: na.Marshal()}).MarshalV6(g.linkLocal, p.Src)
 		reply := &packet.IPv6{NextHeader: packet.ProtoICMPv6, HopLimit: 255, Src: g.linkLocal, Dst: p.Src, Payload: body}
-		g.lan.Transmit(netsim.Frame{Dst: f.Src, EtherType: netsim.EtherTypeIPv6, Payload: reply.Marshal()})
+		g.transmitIPv6(g.lan, f.Src, reply)
 		return true
 	case packet.ICMPv6EchoRequest:
 		if p.Dst == g.linkLocal {
 			body := (&packet.ICMP{Type: packet.ICMPv6EchoReply, Body: ic.Body}).MarshalV6(g.linkLocal, p.Src)
 			reply := &packet.IPv6{NextHeader: packet.ProtoICMPv6, HopLimit: 64, Src: g.linkLocal, Dst: p.Src, Payload: body}
-			g.lan.Transmit(netsim.Frame{Dst: f.Src, EtherType: netsim.EtherTypeIPv6, Payload: reply.Marshal()})
+			g.transmitIPv6(g.lan, f.Src, reply)
 			return true
 		}
 	}
@@ -766,7 +783,7 @@ func (g *Gateway) forwardToLANv6(p *packet.IPv6) {
 		g.solicitLANv6(p.Dst)
 		return
 	}
-	g.lan.Transmit(netsim.Frame{Dst: mac, EtherType: netsim.EtherTypeIPv6, Payload: p.Marshal()})
+	g.transmitIPv6(g.lan, mac, p)
 }
 
 func (g *Gateway) solicitLANv6(target netip.Addr) {
@@ -774,7 +791,7 @@ func (g *Gateway) solicitLANv6(target netip.Addr) {
 	snm := packet.SolicitedNodeMulticast(target)
 	body := (&packet.ICMP{Type: packet.ICMPv6NeighborSolicit, Body: ns.Marshal()}).MarshalV6(g.linkLocal, snm)
 	p := &packet.IPv6{NextHeader: packet.ProtoICMPv6, HopLimit: 255, Src: g.linkLocal, Dst: snm, Payload: body}
-	g.lan.Transmit(netsim.Frame{Dst: netsim.MAC(packet.MulticastMAC(snm)), EtherType: netsim.EtherTypeIPv6, Payload: p.Marshal()})
+	g.transmitIPv6(g.lan, netsim.MAC(packet.MulticastMAC(snm)), p)
 }
 
 func (g *Gateway) forwardToLANv4(p *packet.IPv4) {
@@ -784,7 +801,7 @@ func (g *Gateway) forwardToLANv4(p *packet.IPv4) {
 		g.lan.Transmit(netsim.Frame{Dst: netsim.Broadcast, EtherType: netsim.EtherTypeARP, Payload: req.Marshal()})
 		return
 	}
-	g.lan.Transmit(netsim.Frame{Dst: mac, EtherType: netsim.EtherTypeIPv4, Payload: p.Marshal()})
+	g.transmitIPv4(g.lan, mac, p)
 }
 
 func isULA(a netip.Addr) bool {

@@ -2,6 +2,7 @@ package hoststack
 
 import (
 	"net/netip"
+	"slices"
 
 	"repro/internal/netsim"
 	"repro/internal/packet"
@@ -58,7 +59,7 @@ func (h *Host) flushARPPending(addr netip.Addr) {
 		return
 	}
 	for _, p := range h.arpPending[addr] {
-		h.NIC.Transmit(netsim.Frame{Dst: mac, EtherType: netsim.EtherTypeIPv4, Payload: p.Marshal()})
+		h.transmitIPv4(mac, p)
 	}
 	delete(h.arpPending, addr)
 }
@@ -66,7 +67,8 @@ func (h *Host) flushARPPending(addr netip.Addr) {
 // SendIPv4 routes and transmits an IPv4 packet, resolving the next hop
 // via ARP (queueing the packet while resolution is in flight). When the
 // host runs IPv6-only with a CLAT, the packet is translated to IPv6 and
-// sent through the NAT64 instead.
+// sent through the NAT64 instead. As with SendIPv6, p.Payload may be the
+// caller's scratch buffer; the ARP queue and loopback delivery copy it.
 func (h *Host) SendIPv4(p *packet.IPv4) error {
 	if h.clat != nil && !h.v4Addr.IsValid() {
 		v6, err := h.clat.TranslateV4ToV6(p)
@@ -87,14 +89,18 @@ func (h *Host) SendIPv4(p *packet.IPv4) error {
 	}
 	if h.ownsV4(p.Dst) {
 		// Loopback delivery.
-		h.deliverIPv4(p)
+		q := *p
+		q.Payload = slices.Clone(p.Payload)
+		h.deliverIPv4(&q)
 		return nil
 	}
 	if mac, ok := h.arpCache[nextHop]; ok {
-		h.NIC.Transmit(netsim.Frame{Dst: mac, EtherType: netsim.EtherTypeIPv4, Payload: p.Marshal()})
+		h.transmitIPv4(mac, p)
 		return nil
 	}
-	h.arpPending[nextHop] = append(h.arpPending[nextHop], p)
+	q := *p
+	q.Payload = slices.Clone(p.Payload)
+	h.arpPending[nextHop] = append(h.arpPending[nextHop], &q)
 	h.sendARPRequest(nextHop)
 	return nil
 }

@@ -7,7 +7,6 @@ import (
 	"repro/internal/dns"
 	"repro/internal/dnswire"
 	"repro/internal/netsim"
-	"repro/internal/packet"
 )
 
 // AttachDNSServer binds a DNS resolver to UDP port 53 on the host (over
@@ -28,14 +27,7 @@ func AttachDNSServer(h *Host, r dns.Resolver) {
 		if err != nil {
 			return
 		}
-		u := &packet.UDP{SrcPort: 53, DstPort: srcPort, Payload: wire}
-		if src.Is4() {
-			p := &packet.IPv4{Protocol: packet.ProtoUDP, TTL: 64, Src: dst, Dst: src, Payload: u.Marshal(dst, src)}
-			_ = h.SendIPv4(p)
-		} else {
-			p := &packet.IPv6{NextHeader: packet.ProtoUDP, HopLimit: 64, Src: dst, Dst: src, Payload: u.Marshal(dst, src)}
-			_ = h.SendIPv6(p)
-		}
+		_ = h.ReplyUDP(dst, src, 53, srcPort, wire)
 	})
 }
 
@@ -53,16 +45,10 @@ func AttachDHCPServer(h *Host, srv *dhcp4.Server) {
 		if resp == nil {
 			return
 		}
-		bcast := netip.MustParseAddr("255.255.255.255")
-		u := &packet.UDP{SrcPort: dhcp4.ServerPort, DstPort: dhcp4.ClientPort, Payload: resp.Marshal()}
-		p := &packet.IPv4{
-			Protocol: packet.ProtoUDP, TTL: 64, Src: h.v4Addr, Dst: bcast,
-			Payload: u.Marshal(h.v4Addr, bcast),
-		}
 		dstMAC := netsim.MAC(resp.CHAddr)
 		if resp.Broadcast {
 			dstMAC = netsim.Broadcast
 		}
-		h.NIC.Transmit(netsim.Frame{Dst: dstMAC, EtherType: netsim.EtherTypeIPv4, Payload: p.Marshal()})
+		h.transmitUDPv4(dstMAC, h.v4Addr, v4LimitedBroadcast, dhcp4.ServerPort, dhcp4.ClientPort, resp.Marshal())
 	})
 }

@@ -165,9 +165,16 @@ func (h *Host) dhcpRetransmit() {
 func (h *Host) sendDHCP(msg *dhcp4.Message) {
 	src := netip.AddrFrom4([4]byte{})
 	dst := v4LimitedBroadcast
-	u := &packet.UDP{SrcPort: dhcp4.ClientPort, DstPort: dhcp4.ServerPort, Payload: msg.Marshal()}
-	p := &packet.IPv4{Protocol: packet.ProtoUDP, TTL: 64, Src: src, Dst: dst, Payload: u.Marshal(src, dst)}
-	h.NIC.Transmit(netsim.Frame{Dst: netsim.Broadcast, EtherType: netsim.EtherTypeIPv4, Payload: p.Marshal()})
+	h.transmitUDPv4(netsim.Broadcast, src, dst, dhcp4.ClientPort, dhcp4.ServerPort, msg.Marshal())
+}
+
+// transmitUDPv4 sends a datagram straight to the link address mac,
+// without routing: DHCP runs before either end has a route to the other.
+func (h *Host) transmitUDPv4(mac netsim.MAC, src, dst netip.Addr, srcPort, dstPort uint16, payload []byte) {
+	buf := encodeBufs.Get().(*[]byte)
+	*buf = (&packet.UDP{SrcPort: srcPort, DstPort: dstPort, Payload: payload}).AppendMarshal((*buf)[:0], src, dst)
+	h.transmitIPv4(mac, &packet.IPv4{Protocol: packet.ProtoUDP, TTL: 64, Src: src, Dst: dst, Payload: *buf})
+	encodeBufs.Put(buf)
 }
 
 // dhcpReplyPeekLen covers the BOOTP fixed fields foreignDHCPReply reads:

@@ -3,6 +3,7 @@ package hoststack
 import (
 	"fmt"
 	"net/netip"
+	"sync"
 	"time"
 
 	"repro/internal/clat"
@@ -385,11 +386,30 @@ func (h *Host) clatOwns(proto uint8, port uint16) bool {
 	return h.clat != nil && h.clatPorts[portKey{proto: proto, port: port}]
 }
 
-// SendIPv4WithCLATTracking sends p like SendIPv4 but first marks the
-// local port as CLAT-owned when the packet will traverse the CLAT.
-func (h *Host) SendIPv4WithCLATTracking(p *packet.IPv4, proto uint8, localPort uint16) error {
-	h.trackCLATPort(proto, localPort)
-	return h.SendIPv4(p)
+// encodeBufs recycles the buffers outgoing packets are encoded into.
+// NIC.Transmit copies a frame's payload before it returns, so a buffer
+// is free again once the send that filled it returns. A nested encode (a
+// TCP segment, then the IP packet around it) takes a buffer of its own.
+// One pool serves every host, so per-host memory does not grow.
+var encodeBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// transmitIPv6 encodes p into a pooled buffer and sends it to the link
+// address dst. The IPv4 and IPv6 versions are separate functions because
+// a packet passed as an interface value escapes to the heap, and most
+// sends build theirs on the stack.
+func (h *Host) transmitIPv6(dst netsim.MAC, p *packet.IPv6) {
+	buf := encodeBufs.Get().(*[]byte)
+	*buf = p.AppendMarshal((*buf)[:0])
+	h.NIC.Transmit(netsim.Frame{Dst: dst, EtherType: netsim.EtherTypeIPv6, Payload: *buf})
+	encodeBufs.Put(buf)
+}
+
+// transmitIPv4 is transmitIPv6 for IPv4.
+func (h *Host) transmitIPv4(dst netsim.MAC, p *packet.IPv4) {
+	buf := encodeBufs.Get().(*[]byte)
+	*buf = p.AppendMarshal((*buf)[:0])
+	h.NIC.Transmit(netsim.Frame{Dst: dst, EtherType: netsim.EtherTypeIPv4, Payload: *buf})
+	encodeBufs.Put(buf)
 }
 
 // HandleFrame implements netsim.FrameHandler; it dispatches by EtherType.

@@ -3,6 +3,7 @@ package hoststack
 import (
 	"bytes"
 	"net/netip"
+	"slices"
 	"time"
 
 	"repro/internal/ndp"
@@ -18,25 +19,25 @@ func (h *Host) sendRouterSolicit() {
 		NextHeader: packet.ProtoICMPv6, HopLimit: 255,
 		Src: h.linkLocal, Dst: ndp.AllRouters, Payload: body,
 	}
-	h.NIC.Transmit(netsim.Frame{
-		Dst: netsim.MAC(packet.MulticastMAC(ndp.AllRouters)), EtherType: netsim.EtherTypeIPv6, Payload: p.Marshal(),
-	})
+	h.transmitIPv6(netsim.MAC(packet.MulticastMAC(ndp.AllRouters)), p)
 }
 
 // SendIPv6 routes and transmits an IPv6 packet, resolving the next hop
-// via neighbor discovery.
+// via neighbor discovery. p.Payload may be the caller's scratch buffer:
+// the paths that keep the packet past the call (the neighbor-discovery
+// queue, loopback delivery) copy it first.
 func (h *Host) SendIPv6(p *packet.IPv6) error {
 	if !h.B.IPv6Enabled && len(h.v6Addrs) == 0 {
 		return errNoIPv6
 	}
 	if p.Dst.IsMulticast() {
-		h.NIC.Transmit(netsim.Frame{
-			Dst: netsim.MAC(packet.MulticastMAC(p.Dst)), EtherType: netsim.EtherTypeIPv6, Payload: p.Marshal(),
-		})
+		h.transmitIPv6(netsim.MAC(packet.MulticastMAC(p.Dst)), p)
 		return nil
 	}
 	if h.ownsV6(p.Dst) {
-		h.deliverIPv6(p, nil)
+		q := *p
+		q.Payload = slices.Clone(p.Payload)
+		h.deliverIPv6(&q, nil)
 		return nil
 	}
 	nextHop, err := h.nextHopV6(p.Dst)
@@ -44,10 +45,12 @@ func (h *Host) SendIPv6(p *packet.IPv6) error {
 		return err
 	}
 	if mac, ok := h.ndCache[nextHop]; ok {
-		h.NIC.Transmit(netsim.Frame{Dst: mac, EtherType: netsim.EtherTypeIPv6, Payload: p.Marshal()})
+		h.transmitIPv6(mac, p)
 		return nil
 	}
-	h.ndPending[nextHop] = append(h.ndPending[nextHop], p)
+	q := *p
+	q.Payload = slices.Clone(p.Payload)
+	h.ndPending[nextHop] = append(h.ndPending[nextHop], &q)
 	h.sendNeighborSolicit(nextHop)
 	return nil
 }
@@ -93,9 +96,7 @@ func (h *Host) sendNeighborSolicit(target netip.Addr) {
 	snm := packet.SolicitedNodeMulticast(target)
 	body := (&packet.ICMP{Type: packet.ICMPv6NeighborSolicit, Body: ns.Marshal()}).MarshalV6(src, snm)
 	p := &packet.IPv6{NextHeader: packet.ProtoICMPv6, HopLimit: 255, Src: src, Dst: snm, Payload: body}
-	h.NIC.Transmit(netsim.Frame{
-		Dst: netsim.MAC(packet.MulticastMAC(snm)), EtherType: netsim.EtherTypeIPv6, Payload: p.Marshal(),
-	})
+	h.transmitIPv6(netsim.MAC(packet.MulticastMAC(snm)), p)
 }
 
 func (h *Host) flushNDPending(addr netip.Addr) {
@@ -107,7 +108,7 @@ func (h *Host) flushNDPending(addr netip.Addr) {
 		return
 	}
 	for _, p := range h.ndPending[addr] {
-		h.NIC.Transmit(netsim.Frame{Dst: mac, EtherType: netsim.EtherTypeIPv6, Payload: p.Marshal()})
+		h.transmitIPv6(mac, p)
 	}
 	delete(h.ndPending, addr)
 }
@@ -115,7 +116,10 @@ func (h *Host) flushNDPending(addr netip.Addr) {
 // raMemo is one Router Advertisement this host has already verified
 // and parsed: the exact IPv6 packet bytes whose ICMPv6 checksum held and
 // whose RA body parsed, with the header addresses and the parsed RA. It
-// is a derived cache — nothing in it is state a fresh host lacks.
+// is a derived cache — nothing in it is state a fresh host lacks. It
+// outlives the frame it came from, so it holds only copies: pkt is a
+// private copy, and ndp.ParseRouterAdvert copies every field out of the
+// ICMPv6 body view it parses.
 type raMemo struct {
 	pkt      []byte
 	src, dst netip.Addr
@@ -157,8 +161,8 @@ func (h *Host) rememberRA(pkt []byte, src, dst netip.Addr, ra *ndp.RouterAdvert)
 		}
 	}
 	m := &h.raMemos[i]
-	// Frame payloads live in the network's payload arena, which
-	// RecycleArena may reuse; keep a private copy.
+	// pkt is a view into the frame, which is only ours while the
+	// handler runs; keep a private copy.
 	m.pkt = append(m.pkt[:0], pkt...)
 	m.src, m.dst, m.ra = src, dst, ra
 }
@@ -273,7 +277,7 @@ func (h *Host) handleICMPv6(p *packet.IPv6, raw []byte) {
 		body := (&packet.ICMP{Type: packet.ICMPv6NeighborAdvert, Body: na.Marshal()}).MarshalV6(ns.Target, p.Src)
 		reply := &packet.IPv6{NextHeader: packet.ProtoICMPv6, HopLimit: 255, Src: ns.Target, Dst: p.Src, Payload: body}
 		if mac, ok := h.ndCache[p.Src]; ok {
-			h.NIC.Transmit(netsim.Frame{Dst: mac, EtherType: netsim.EtherTypeIPv6, Payload: reply.Marshal()})
+			h.transmitIPv6(mac, reply)
 		}
 	case packet.ICMPv6NeighborAdvert:
 		na, err := ndp.ParseNeighborAdvert(ic.Body)

@@ -2,6 +2,7 @@ package hoststack
 
 import (
 	"net/netip"
+	"slices"
 	"time"
 
 	"repro/internal/clat"
@@ -103,18 +104,20 @@ func (s tcpSegment) seqLen() uint32 {
 
 // Send transmits data, segmented to the current path MTU toward the
 // peer. Segments are retained until acknowledged so PTB-triggered
-// retransmission can re-split them.
+// retransmission can re-split them; they share one private copy of data,
+// which is never written after this call.
 func (c *TCPConn) Send(data []byte) error {
 	mss := c.h.tcpMaxPayload(c.remote)
 	if mss < 64 {
 		mss = 64
 	}
+	data = slices.Clone(data)
 	for len(data) > 0 {
 		n := len(data)
 		if n > mss {
 			n = mss
 		}
-		chunk := append([]byte(nil), data[:n]...)
+		chunk := data[:n:n]
 		data = data[n:]
 		seg := tcpSegment{seq: c.sndNxt, payload: chunk}
 		c.unacked = append(c.unacked, seg)
@@ -164,7 +167,7 @@ func (c *TCPConn) resendFrom(seq uint32) {
 			if n > mss {
 				n = mss
 			}
-			sub := tcpSegment{seq: at, payload: append([]byte(nil), data[:n]...)}
+			sub := tcpSegment{seq: at, payload: data[:n:n]}
 			rebuilt = append(rebuilt, sub)
 			_ = c.transmitData(sub)
 			at += uint32(n)
@@ -212,14 +215,20 @@ func (h *Host) reapConn(c *TCPConn) {
 // transmit wraps the segment in the right IP version and routes it.
 func (c *TCPConn) transmit(seg *packet.TCP) error {
 	if c.remote.Is4() {
-		src := c.local
-		p := &packet.IPv4{Protocol: packet.ProtoTCP, TTL: 64, Src: src, Dst: c.remote,
-			Payload: seg.Marshal(src, c.remote)}
-		return c.h.SendIPv4WithCLATTracking(p, packet.ProtoTCP, c.localPort)
+		c.h.trackCLATPort(packet.ProtoTCP, c.localPort)
 	}
-	p := &packet.IPv6{NextHeader: packet.ProtoTCP, HopLimit: 64, Src: c.local, Dst: c.remote,
-		Payload: seg.Marshal(c.local, c.remote)}
-	return c.h.SendIPv6(p)
+	return c.h.sendTCP(c.local, c.remote, seg)
+}
+
+// sendTCP encodes seg into a pooled buffer and routes it from src to dst.
+func (h *Host) sendTCP(src, dst netip.Addr, seg *packet.TCP) error {
+	buf := encodeBufs.Get().(*[]byte)
+	defer encodeBufs.Put(buf)
+	*buf = seg.AppendMarshal((*buf)[:0], src, dst)
+	if dst.Is4() {
+		return h.SendIPv4(&packet.IPv4{Protocol: packet.ProtoTCP, TTL: 64, Src: src, Dst: dst, Payload: *buf})
+	}
+	return h.SendIPv6(&packet.IPv6{NextHeader: packet.ProtoTCP, HopLimit: 64, Src: src, Dst: dst, Payload: *buf})
 }
 
 // ListenTCP registers an accept callback for inbound connections on port.
@@ -287,14 +296,7 @@ func (h *Host) handleTCP(src, dst netip.Addr, tc *packet.TCP) {
 			}
 			// Refused: answer RST.
 			rst := &packet.TCP{SrcPort: tc.DstPort, DstPort: tc.SrcPort, Seq: 0, Ack: tc.Seq + 1, Flags: packet.TCPRst | packet.TCPAck}
-			var pay []byte
-			if dst.Is4() {
-				pay = rst.Marshal(dst, src)
-				_ = h.SendIPv4(&packet.IPv4{Protocol: packet.ProtoTCP, TTL: 64, Src: dst, Dst: src, Payload: pay})
-			} else {
-				pay = rst.Marshal(dst, src)
-				_ = h.SendIPv6(&packet.IPv6{NextHeader: packet.ProtoTCP, HopLimit: 64, Src: dst, Dst: src, Payload: pay})
-			}
+			_ = h.sendTCP(dst, src, rst)
 		}
 		return
 	}

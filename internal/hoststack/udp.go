@@ -62,21 +62,13 @@ func (h *Host) SendUDP(dst netip.Addr, dstPort uint16, payload []byte, reply UDP
 	if reply != nil {
 		h.udpBind[lport] = reply
 	}
-	var err error
-	if dst.Is4() {
+	if dst.Is4() && h.clat != nil && !h.v4Addr.IsValid() {
 		// Through a CLAT the IPv4 literal is carried over IPv6; the source
 		// stamped here is the CLAT host address.
-		if h.clat != nil && !h.v4Addr.IsValid() {
-			src = clat.HostV4
-		}
-		u := &packet.UDP{SrcPort: lport, DstPort: dstPort, Payload: payload}
-		p := &packet.IPv4{Protocol: packet.ProtoUDP, TTL: 64, Src: src, Dst: dst, Payload: u.Marshal(src, dst)}
-		err = h.SendIPv4WithCLATTracking(p, packet.ProtoUDP, lport)
-	} else {
-		u := &packet.UDP{SrcPort: lport, DstPort: dstPort, Payload: payload}
-		p := &packet.IPv6{NextHeader: packet.ProtoUDP, HopLimit: 64, Src: src, Dst: dst, Payload: u.Marshal(src, dst)}
-		err = h.SendIPv6(p)
+		src = clat.HostV4
+		h.trackCLATPort(packet.ProtoUDP, lport)
 	}
+	err := h.ReplyUDP(src, dst, lport, dstPort, payload)
 	if err != nil {
 		h.UnbindUDP(lport)
 		return 0, err
@@ -88,13 +80,13 @@ func (h *Host) SendUDP(dst netip.Addr, dstPort uint16, payload []byte, reply UDP
 // the shape servers use to answer from the service address a request
 // arrived on.
 func (h *Host) ReplyUDP(from, to netip.Addr, fromPort, toPort uint16, payload []byte) error {
-	u := &packet.UDP{SrcPort: fromPort, DstPort: toPort, Payload: payload}
+	buf := encodeBufs.Get().(*[]byte)
+	defer encodeBufs.Put(buf)
+	*buf = (&packet.UDP{SrcPort: fromPort, DstPort: toPort, Payload: payload}).AppendMarshal((*buf)[:0], from, to)
 	if to.Is4() {
-		p := &packet.IPv4{Protocol: packet.ProtoUDP, TTL: 64, Src: from, Dst: to, Payload: u.Marshal(from, to)}
-		return h.SendIPv4(p)
+		return h.SendIPv4(&packet.IPv4{Protocol: packet.ProtoUDP, TTL: 64, Src: from, Dst: to, Payload: *buf})
 	}
-	p := &packet.IPv6{NextHeader: packet.ProtoUDP, HopLimit: 64, Src: from, Dst: to, Payload: u.Marshal(from, to)}
-	return h.SendIPv6(p)
+	return h.SendIPv6(&packet.IPv6{NextHeader: packet.ProtoUDP, HopLimit: 64, Src: from, Dst: to, Payload: *buf})
 }
 
 // Query performs a UDP request/response exchange synchronously by
@@ -104,7 +96,7 @@ func (h *Host) Query(dst netip.Addr, dstPort uint16, payload []byte, timeout tim
 	var resp []byte
 	done := false
 	lport, err := h.SendUDP(dst, dstPort, payload, func(_ netip.Addr, _ uint16, _ netip.Addr, data []byte) {
-		resp = data
+		resp = append([]byte(nil), data...) // data aliases the frame
 		done = true
 	})
 	if err != nil {

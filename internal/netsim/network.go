@@ -7,6 +7,12 @@ import (
 
 // Frame is an Ethernet-style layer-2 frame. Payload holds an encoded
 // layer-3 packet (ARP, IPv4 or IPv6).
+//
+// A delivered payload is immutable and owned by the fabric: packets
+// parsed from it are views into its bytes, not copies, so a receiver
+// reads them while its handler runs and copies whatever it keeps past
+// that. Senders encode into buffers they own and may reuse the moment
+// Transmit returns, since Transmit copies the payload.
 type Frame struct {
 	Src       MAC
 	Dst       MAC
@@ -15,8 +21,8 @@ type Frame struct {
 
 	// Shared marks a payload delivered to multiple receivers at once (a
 	// switch flood fan-out carries one immutable copy for every port).
-	// Receivers may parse and retain a shared payload freely but must
-	// not mutate it in place; call Own (or Clone) first.
+	// Receivers may parse a shared payload freely but must not mutate
+	// it in place; call Own (or Clone) first.
 	Shared bool
 }
 
@@ -215,8 +221,9 @@ const arenaMaxRetired = 8
 // pooled chunks, so delivering a frame costs one chunk allocation per
 // ~hundreds of hops instead of one per hop. Chunks are sourced from a
 // sync.Pool; exhausted chunks are parked on a retired list and only
-// returned to the pool by an explicit RecycleArena call, because
-// receivers are allowed to retain delivered payloads indefinitely.
+// returned to the pool by an explicit RecycleArena call, because a
+// delivered payload must stay intact for as long as anything might
+// still read it (see Frame).
 type payloadArena struct {
 	pool    sync.Pool
 	cur     []byte
@@ -265,10 +272,11 @@ func (a *payloadArena) recycle() {
 
 // RecycleArena returns exhausted payload chunks to the arena's pool for
 // reuse. The caller asserts that no previously delivered frame payload
-// is still referenced — e.g. between iterations of a benchmark or
-// scenario sweep after the fabric has gone quiescent. Without explicit
-// recycling the arena stays safe: retired chunks are simply left to the
-// garbage collector.
+// is still referenced — neither the frame nor any packet parsed from it,
+// since parsed packets alias their frame — e.g. between iterations of a
+// benchmark or scenario sweep after the fabric has gone quiescent.
+// Without explicit recycling the arena stays safe: retired chunks are
+// simply left to the garbage collector.
 func (n *Network) RecycleArena() { n.arena.recycle() }
 
 // Stats is a point-in-time snapshot of the fabric's hot-path counters,

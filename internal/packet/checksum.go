@@ -3,30 +3,57 @@
 // fabric: IPv4, IPv6, UDP, TCP, ICMPv4, ICMPv6 and ARP. Every header is
 // encoded byte-for-byte per its RFC so translation components (NAT64,
 // CLAT, NAT44) can operate exactly as the specifications describe.
+//
+// Parsers do not copy: the Payload, Options and Body of a parsed packet
+// are views into the parser's input, valid for as long as the input is,
+// and clipped so that appending to one never writes into the input.
+// Encoders append: AppendMarshal writes the encoding after the bytes
+// already in its buffer, and Marshal is AppendMarshal(nil). The buffer's
+// spare capacity must not overlap the packet's own slices.
 package packet
 
-import "net/netip"
+import (
+	"encoding/binary"
+	"math/bits"
+	"net/netip"
+	"slices"
+)
 
 // Checksum computes the RFC 1071 internet checksum over data.
 func Checksum(data []byte) uint16 {
 	return finishChecksum(sumBytes(0, data))
 }
 
-// sumBytes accumulates 16-bit big-endian words of data into sum.
-func sumBytes(sum uint32, data []byte) uint32 {
-	n := len(data)
-	for i := 0; i+1 < n; i += 2 {
-		sum += uint32(data[i])<<8 | uint32(data[i+1])
+// sumBytes adds data, read as 16-bit big-endian words, into the
+// ones'-complement accumulator sum. It takes 8 bytes at a time as one
+// 64-bit word with end-around carry: 2^16 ≡ 1 (mod 2^16-1), so a 64-bit
+// word is congruent to the sum of its four 16-bit words, and the folded
+// result equals the word-at-a-time sum (RFC 1071 §2(A), §2(B)). The
+// return value is folded below 2^32, so callers can add a few small
+// pseudo-header terms without overflow.
+func sumBytes(sum uint64, data []byte) uint64 {
+	var carry uint64
+	for len(data) >= 8 {
+		sum, carry = bits.Add64(sum, binary.BigEndian.Uint64(data), 0)
+		sum += carry
+		data = data[8:]
 	}
-	if n%2 == 1 {
-		sum += uint32(data[n-1]) << 8
+	for len(data) >= 2 {
+		sum, carry = bits.Add64(sum, uint64(binary.BigEndian.Uint16(data)), 0)
+		sum += carry
+		data = data[2:]
 	}
-	return sum
+	if len(data) == 1 {
+		sum, carry = bits.Add64(sum, uint64(data[0])<<8, 0)
+		sum += carry
+	}
+	sum = sum&0xffffffff + sum>>32
+	return sum&0xffffffff + sum>>32
 }
 
-func finishChecksum(sum uint32) uint16 {
+func finishChecksum(sum uint64) uint16 {
 	for sum>>16 != 0 {
-		sum = (sum & 0xffff) + sum>>16
+		sum = sum&0xffff + sum>>16
 	}
 	return ^uint16(sum)
 }
@@ -35,19 +62,19 @@ func finishChecksum(sum uint32) uint16 {
 // payload using the IPv4 or IPv6 pseudo-header for src/dst. Both
 // addresses must be the same family.
 func PseudoHeaderChecksum(proto uint8, src, dst netip.Addr, payload []byte) uint16 {
-	var sum uint32
+	var sum uint64
 	if src.Is4() {
 		s, d := src.As4(), dst.As4()
 		sum = sumBytes(sum, s[:])
 		sum = sumBytes(sum, d[:])
-		sum += uint32(proto)
-		sum += uint32(len(payload))
+		sum += uint64(proto)
+		sum += uint64(len(payload))
 	} else {
 		s, d := src.As16(), dst.As16()
 		sum = sumBytes(sum, s[:])
 		sum = sumBytes(sum, d[:])
-		sum += uint32(len(payload)) // upper-layer packet length
-		sum += uint32(proto)
+		sum += uint64(len(payload)) // upper-layer packet length
+		sum += uint64(proto)
 	}
 	sum = sumBytes(sum, payload)
 	return finishChecksum(sum)
@@ -63,4 +90,23 @@ func put32(b []byte, v uint32) {
 	b[1] = byte(v >> 16)
 	b[2] = byte(v >> 8)
 	b[3] = byte(v)
+}
+
+// view returns b[lo:hi] with its capacity clipped at hi, so an append to
+// the view reallocates instead of writing into the bytes after it. An
+// empty view is nil.
+func view(b []byte, lo, hi int) []byte {
+	if lo == hi {
+		return nil
+	}
+	return b[lo:hi:hi]
+}
+
+// grow extends b by n bytes and returns the extended slice and its n-byte
+// tail. The tail may hold stale bytes from a reused buffer; encoders
+// write or clear every byte of it.
+func grow(b []byte, n int) (all, tail []byte) {
+	off := len(b)
+	b = slices.Grow(b, n)[:off+n]
+	return b, b[off:]
 }

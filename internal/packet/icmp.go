@@ -52,25 +52,40 @@ type ICMP struct {
 }
 
 // MarshalV4 encodes an ICMPv4 message (checksum over the message only).
-func (m *ICMP) MarshalV4() []byte {
-	b := make([]byte, 4+len(m.Body))
-	b[0], b[1] = m.Type, m.Code
-	copy(b[4:], m.Body)
-	put16(b[2:], Checksum(b))
+func (m *ICMP) MarshalV4() []byte { return m.AppendMarshalV4(nil) }
+
+// AppendMarshalV4 appends the encoded ICMPv4 message to b and returns the
+// extended slice; bytes already in b are left untouched.
+func (m *ICMP) AppendMarshalV4(b []byte) []byte {
+	b, c := m.appendMessage(b)
+	put16(c[2:], Checksum(c))
 	return b
 }
 
 // MarshalV6 encodes an ICMPv6 message; the checksum includes the IPv6
 // pseudo-header (RFC 4443 §2.3).
-func (m *ICMP) MarshalV6(src, dst netip.Addr) []byte {
-	b := make([]byte, 4+len(m.Body))
-	b[0], b[1] = m.Type, m.Code
-	copy(b[4:], m.Body)
-	put16(b[2:], PseudoHeaderChecksum(ProtoICMPv6, src, dst, b))
+func (m *ICMP) MarshalV6(src, dst netip.Addr) []byte { return m.AppendMarshalV6(nil, src, dst) }
+
+// AppendMarshalV6 appends the encoded ICMPv6 message to b and returns
+// the extended slice; bytes already in b are left untouched.
+func (m *ICMP) AppendMarshalV6(b []byte, src, dst netip.Addr) []byte {
+	b, c := m.appendMessage(b)
+	put16(c[2:], PseudoHeaderChecksum(ProtoICMPv6, src, dst, c))
 	return b
 }
 
-// ParseICMPv4 decodes and checksum-verifies an ICMPv4 message.
+// appendMessage appends the message with a zero checksum and returns
+// the extended slice and the message bytes.
+func (m *ICMP) appendMessage(b []byte) (all, msg []byte) {
+	b, c := grow(b, 4+len(m.Body))
+	c[0], c[1] = m.Type, m.Code
+	put16(c[2:], 0)
+	copy(c[4:], m.Body)
+	return b, c
+}
+
+// ParseICMPv4 decodes and checksum-verifies an ICMPv4 message. Body is
+// a view into b, not a copy.
 func ParseICMPv4(b []byte) (*ICMP, error) {
 	if len(b) < 4 {
 		return nil, fmt.Errorf("icmpv4: %w", ErrTruncated)
@@ -78,10 +93,11 @@ func ParseICMPv4(b []byte) (*ICMP, error) {
 	if Checksum(b) != 0 {
 		return nil, fmt.Errorf("icmpv4: %w", ErrBadChecksum)
 	}
-	return &ICMP{Type: b[0], Code: b[1], Body: append([]byte(nil), b[4:]...)}, nil
+	return &ICMP{Type: b[0], Code: b[1], Body: view(b, 4, len(b))}, nil
 }
 
-// ParseICMPv6 decodes and checksum-verifies an ICMPv6 message.
+// ParseICMPv6 decodes and checksum-verifies an ICMPv6 message. Body is
+// a view into b, not a copy.
 func ParseICMPv6(b []byte, src, dst netip.Addr) (*ICMP, error) {
 	if len(b) < 4 {
 		return nil, fmt.Errorf("icmpv6: %w", ErrTruncated)
@@ -89,7 +105,7 @@ func ParseICMPv6(b []byte, src, dst netip.Addr) (*ICMP, error) {
 	if PseudoHeaderChecksum(ProtoICMPv6, src, dst, b) != 0 {
 		return nil, fmt.Errorf("icmpv6: %w", ErrBadChecksum)
 	}
-	return &ICMP{Type: b[0], Code: b[1], Body: append([]byte(nil), b[4:]...)}, nil
+	return &ICMP{Type: b[0], Code: b[1], Body: view(b, 4, len(b))}, nil
 }
 
 // EchoBody packs an echo identifier, sequence number and data payload.

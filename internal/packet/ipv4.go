@@ -45,15 +45,20 @@ type IPv4 struct {
 }
 
 // Marshal encodes the packet, computing total length and header checksum.
-func (p *IPv4) Marshal() []byte {
+func (p *IPv4) Marshal() []byte { return p.AppendMarshal(nil) }
+
+// AppendMarshal appends the encoded packet to b and returns the extended
+// slice; bytes already in b are left untouched.
+func (p *IPv4) AppendMarshal(b []byte) []byte {
 	optLen := (len(p.Options) + 3) &^ 3
 	hlen := IPv4MinHeaderLen + optLen
 	total := hlen + len(p.Payload)
-	b := make([]byte, total)
-	b[0] = 0x40 | uint8(hlen/4)
-	b[1] = p.TOS
-	put16(b[2:], uint16(total))
-	put16(b[4:], p.ID)
+	b, h := grow(b, total)
+	clear(h[:hlen])
+	h[0] = 0x40 | uint8(hlen/4)
+	h[1] = p.TOS
+	put16(h[2:], uint16(total))
+	put16(h[4:], p.ID)
 	flags := p.FragOff & 0x1fff
 	if p.DontFrag {
 		flags |= 0x4000
@@ -61,24 +66,24 @@ func (p *IPv4) Marshal() []byte {
 	if p.MoreFrag {
 		flags |= 0x2000
 	}
-	put16(b[6:], flags)
+	put16(h[6:], flags)
 	ttl := p.TTL
 	if ttl == 0 {
 		ttl = IPv4DefaultTTL
 	}
-	b[8] = ttl
-	b[9] = p.Protocol
+	h[8] = ttl
+	h[9] = p.Protocol
 	src, dst := p.Src.As4(), p.Dst.As4()
-	copy(b[12:16], src[:])
-	copy(b[16:20], dst[:])
-	copy(b[20:hlen], p.Options)
-	put16(b[10:], Checksum(b[:hlen]))
-	copy(b[hlen:], p.Payload)
+	copy(h[12:16], src[:])
+	copy(h[16:20], dst[:])
+	copy(h[20:hlen], p.Options)
+	put16(h[10:], Checksum(h[:hlen]))
+	copy(h[hlen:], p.Payload)
 	return b
 }
 
 // ParseIPv4 decodes an IPv4 packet, verifying version, lengths and the
-// header checksum.
+// header checksum. Options and Payload are views into b, not copies.
 func ParseIPv4(b []byte) (*IPv4, error) {
 	if len(b) < IPv4MinHeaderLen {
 		return nil, fmt.Errorf("ipv4 header: %w", ErrTruncated)
@@ -109,9 +114,7 @@ func ParseIPv4(b []byte) (*IPv4, error) {
 		Src:      netip.AddrFrom4([4]byte(b[12:16])),
 		Dst:      netip.AddrFrom4([4]byte(b[16:20])),
 	}
-	if hlen > IPv4MinHeaderLen {
-		p.Options = append([]byte(nil), b[IPv4MinHeaderLen:hlen]...)
-	}
-	p.Payload = append([]byte(nil), b[hlen:total]...)
+	p.Options = view(b, IPv4MinHeaderLen, hlen)
+	p.Payload = view(b, hlen, total)
 	return p, nil
 }

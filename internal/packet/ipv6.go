@@ -25,27 +25,32 @@ type IPv6 struct {
 }
 
 // Marshal encodes the packet with the payload length computed.
-func (p *IPv6) Marshal() []byte {
-	b := make([]byte, IPv6HeaderLen+len(p.Payload))
-	b[0] = 0x60 | p.TrafficClass>>4
-	b[1] = p.TrafficClass<<4 | uint8(p.FlowLabel>>16&0x0f)
-	b[2] = byte(p.FlowLabel >> 8)
-	b[3] = byte(p.FlowLabel)
-	put16(b[4:], uint16(len(p.Payload)))
-	b[6] = p.NextHeader
+func (p *IPv6) Marshal() []byte { return p.AppendMarshal(nil) }
+
+// AppendMarshal appends the encoded packet to b and returns the extended
+// slice; bytes already in b are left untouched.
+func (p *IPv6) AppendMarshal(b []byte) []byte {
+	b, h := grow(b, IPv6HeaderLen+len(p.Payload))
+	h[0] = 0x60 | p.TrafficClass>>4
+	h[1] = p.TrafficClass<<4 | uint8(p.FlowLabel>>16&0x0f)
+	h[2] = byte(p.FlowLabel >> 8)
+	h[3] = byte(p.FlowLabel)
+	put16(h[4:], uint16(len(p.Payload)))
+	h[6] = p.NextHeader
 	hl := p.HopLimit
 	if hl == 0 {
 		hl = IPv6DefaultHopLimit
 	}
-	b[7] = hl
+	h[7] = hl
 	src, dst := p.Src.As16(), p.Dst.As16()
-	copy(b[8:24], src[:])
-	copy(b[24:40], dst[:])
-	copy(b[40:], p.Payload)
+	copy(h[8:24], src[:])
+	copy(h[24:40], dst[:])
+	copy(h[40:], p.Payload)
 	return b
 }
 
 // ParseIPv6 decodes an IPv6 packet, verifying version and payload length.
+// Payload is a view into b, not a copy.
 func ParseIPv6(b []byte) (*IPv6, error) {
 	if len(b) < IPv6HeaderLen {
 		return nil, fmt.Errorf("ipv6 header: %w", ErrTruncated)
@@ -65,7 +70,7 @@ func ParseIPv6(b []byte) (*IPv6, error) {
 		Src:          netip.AddrFrom16([16]byte(b[8:24])),
 		Dst:          netip.AddrFrom16([16]byte(b[24:40])),
 	}
-	p.Payload = append([]byte(nil), b[IPv6HeaderLen:IPv6HeaderLen+plen]...)
+	p.Payload = view(b, IPv6HeaderLen, IPv6HeaderLen+plen)
 	return p, nil
 }
 

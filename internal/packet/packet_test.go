@@ -344,3 +344,28 @@ func TestTCPChecksumDetectsBitFlips(t *testing.T) {
 		}
 	}
 }
+
+// Parsed payloads are views into the parser's input, clipped at their
+// end: appending to one reallocates instead of overwriting the bytes
+// behind it in the frame.
+func TestParsedViewsAreClipped(t *testing.T) {
+	seg := (&TCP{SrcPort: 1, DstPort: 2, Payload: []byte("data")}).Marshal(v4a, v4b)
+	frame := append((&IPv4{Protocol: ProtoTCP, Src: v4a, Dst: v4b, Payload: seg}).Marshal(), "trailer"...)
+	orig := bytes.Clone(frame)
+	p, err := ParseIPv4(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc, err := ParseTCP(p.Payload, p.Src, p.Dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &tc.Payload[0] != &frame[len(frame)-len("trailer")-len("data")] {
+		t.Fatal("TCP payload is a copy, want a view into the frame")
+	}
+	_ = append(p.Payload, "XXXXXXX"...)
+	_ = append(tc.Payload, "XXXXXXX"...)
+	if !bytes.Equal(frame, orig) {
+		t.Fatalf("append to a parsed view wrote the frame: %q", frame)
+	}
+}

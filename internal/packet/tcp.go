@@ -31,28 +31,34 @@ type TCP struct {
 
 // Marshal encodes the segment with the checksum computed over the
 // pseudo-header for src/dst.
-func (t *TCP) Marshal(src, dst netip.Addr) []byte {
+func (t *TCP) Marshal(src, dst netip.Addr) []byte { return t.AppendMarshal(nil, src, dst) }
+
+// AppendMarshal appends the encoded segment to b and returns the extended
+// slice; bytes already in b are left untouched.
+func (t *TCP) AppendMarshal(b []byte, src, dst netip.Addr) []byte {
 	optLen := (len(t.Options) + 3) &^ 3
 	hlen := TCPMinHeaderLen + optLen
-	b := make([]byte, hlen+len(t.Payload))
-	put16(b[0:], t.SrcPort)
-	put16(b[2:], t.DstPort)
-	put32(b[4:], t.Seq)
-	put32(b[8:], t.Ack)
-	b[12] = uint8(hlen/4) << 4
-	b[13] = t.Flags
+	b, s := grow(b, hlen+len(t.Payload))
+	clear(s[:hlen])
+	put16(s[0:], t.SrcPort)
+	put16(s[2:], t.DstPort)
+	put32(s[4:], t.Seq)
+	put32(s[8:], t.Ack)
+	s[12] = uint8(hlen/4) << 4
+	s[13] = t.Flags
 	win := t.Window
 	if win == 0 {
 		win = 65535
 	}
-	put16(b[14:], win)
-	copy(b[TCPMinHeaderLen:hlen], t.Options)
-	copy(b[hlen:], t.Payload)
-	put16(b[16:], PseudoHeaderChecksum(ProtoTCP, src, dst, b))
+	put16(s[14:], win)
+	copy(s[TCPMinHeaderLen:hlen], t.Options)
+	copy(s[hlen:], t.Payload)
+	put16(s[16:], PseudoHeaderChecksum(ProtoTCP, src, dst, s))
 	return b
 }
 
-// ParseTCP decodes a TCP segment and verifies its checksum.
+// ParseTCP decodes a TCP segment and verifies its checksum. Options and
+// Payload are views into b, not copies.
 func ParseTCP(b []byte, src, dst netip.Addr) (*TCP, error) {
 	if len(b) < TCPMinHeaderLen {
 		return nil, fmt.Errorf("tcp header: %w", ErrTruncated)
@@ -72,10 +78,8 @@ func ParseTCP(b []byte, src, dst netip.Addr) (*TCP, error) {
 		Flags:   b[13],
 		Window:  be16(b[14:]),
 	}
-	if hlen > TCPMinHeaderLen {
-		t.Options = append([]byte(nil), b[TCPMinHeaderLen:hlen]...)
-	}
-	t.Payload = append([]byte(nil), b[hlen:]...)
+	t.Options = view(b, TCPMinHeaderLen, hlen)
+	t.Payload = view(b, hlen, len(b))
 	return t, nil
 }
 

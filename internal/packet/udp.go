@@ -17,22 +17,28 @@ type UDP struct {
 
 // Marshal encodes the datagram with the checksum computed over the
 // pseudo-header for src/dst.
-func (u *UDP) Marshal(src, dst netip.Addr) []byte {
-	b := make([]byte, UDPHeaderLen+len(u.Payload))
-	put16(b[0:], u.SrcPort)
-	put16(b[2:], u.DstPort)
-	put16(b[4:], uint16(len(b)))
-	copy(b[8:], u.Payload)
-	ck := PseudoHeaderChecksum(ProtoUDP, src, dst, b)
+func (u *UDP) Marshal(src, dst netip.Addr) []byte { return u.AppendMarshal(nil, src, dst) }
+
+// AppendMarshal appends the encoded datagram to b and returns the
+// extended slice; bytes already in b are left untouched.
+func (u *UDP) AppendMarshal(b []byte, src, dst netip.Addr) []byte {
+	b, d := grow(b, UDPHeaderLen+len(u.Payload))
+	put16(d[0:], u.SrcPort)
+	put16(d[2:], u.DstPort)
+	put16(d[4:], uint16(len(d)))
+	put16(d[6:], 0)
+	copy(d[8:], u.Payload)
+	ck := PseudoHeaderChecksum(ProtoUDP, src, dst, d)
 	if ck == 0 {
 		ck = 0xffff // RFC 768: zero checksum transmitted as all ones
 	}
-	put16(b[6:], ck)
+	put16(d[6:], ck)
 	return b
 }
 
 // ParseUDP decodes a UDP datagram and verifies its checksum against the
 // pseudo-header (unless the checksum field is zero, which IPv4 permits).
+// Payload is a view into b, not a copy.
 func ParseUDP(b []byte, src, dst netip.Addr) (*UDP, error) {
 	if len(b) < UDPHeaderLen {
 		return nil, fmt.Errorf("udp header: %w", ErrTruncated)
@@ -51,6 +57,6 @@ func ParseUDP(b []byte, src, dst netip.Addr) (*UDP, error) {
 	return &UDP{
 		SrcPort: be16(b[0:]),
 		DstPort: be16(b[2:]),
-		Payload: append([]byte(nil), b[8:ulen]...),
+		Payload: view(b, UDPHeaderLen, ulen),
 	}, nil
 }

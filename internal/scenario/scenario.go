@@ -408,7 +408,12 @@ func (r *trialRunner) runTrial(spec DeviceSpec, join func() *hoststack.Host) {
 		alignToBeaconPhase(tb)
 	}
 	nat44Before := len(tb.Gateway.NAT44.Log)
-	nat64Before := tb.Gateway.NAT64.SessionCount()
+	// Only the churn delta below reads the session baseline, and
+	// SessionCount walks the whole session table.
+	nat64Before := 0
+	if r.churn && !tb.SampleNAT64PerTrial {
+		nat64Before = tb.Gateway.NAT64.SessionCount()
+	}
 
 	c := join()
 	dr := DeviceResult{Spec: spec}

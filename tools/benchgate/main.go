@@ -16,7 +16,7 @@
 // benchmark or a dropped ReportMetric cannot silently disarm the gate.
 //
 // Multiple snapshots merge in argument order, later files overriding
-// earlier ones per metric, so passing the whole BENCH_1..BENCH_7
+// earlier ones per metric, so passing the whole BENCH_1..BENCH_8
 // trajectory gates each benchmark at its most recently recorded value.
 //
 // Usage: go test -run '^$' -bench X -benchmem . | benchgate BENCH_4.json [BENCH_5.json ...]
