@@ -159,46 +159,3 @@ func TestCacheInsertionShedsExpiredBeforeLive(t *testing.T) {
 		t.Errorf("live entry was sacrificed for an expired one")
 	}
 }
-
-func TestShardedCacheBehavesLikeCache(t *testing.T) {
-	now := time.Date(2024, 11, 17, 9, 0, 0, 0, time.UTC)
-	calls := 0
-	s := NewShardedCache(countingInner(&calls, 300), func() time.Time { return now }, 4, 64)
-
-	for i := 0; i < 32; i++ {
-		mustResolve(t, s, q(fmt.Sprintf("n%d.test", i), dnswire.TypeA))
-	}
-	if calls != 32 {
-		t.Fatalf("inner calls = %d, want 32", calls)
-	}
-	for i := 0; i < 32; i++ {
-		mustResolve(t, s, q(fmt.Sprintf("n%d.test", i), dnswire.TypeA))
-	}
-	if calls != 32 {
-		t.Errorf("sharded cache missed on warm names: %d inner calls", calls)
-	}
-	hits, misses, _, _ := s.Stats()
-	if hits != 32 || misses != 32 {
-		t.Errorf("Stats = %d hits / %d misses, want 32/32", hits, misses)
-	}
-	if s.Len() != 32 {
-		t.Errorf("Len = %d, want 32", s.Len())
-	}
-	s.Flush()
-	if s.Len() != 0 {
-		t.Errorf("Len = %d after Flush", s.Len())
-	}
-}
-
-func TestShardedCacheTotalCapacityBounded(t *testing.T) {
-	now := time.Date(2024, 11, 17, 9, 0, 0, 0, time.UTC)
-	calls := 0
-	s := NewShardedCache(countingInner(&calls, 3600), func() time.Time { return now }, 4, 16)
-
-	for i := 0; i < 1000; i++ {
-		mustResolve(t, s, q(fmt.Sprintf("flood%d.test", i), dnswire.TypeA))
-	}
-	if s.Len() > 16 {
-		t.Errorf("sharded Len = %d, want <= configured total 16", s.Len())
-	}
-}

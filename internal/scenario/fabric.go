@@ -3,24 +3,21 @@ package scenario
 import (
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
 
 	"repro/internal/hoststack"
-	"repro/internal/pathology"
 	"repro/internal/testbed"
 )
 
-// This file is the fabric execution engine. On a hierarchical topology
-// (testbed.FabricTopology) a shard is no longer an arbitrary slice of
-// the device list but a subtree of the fabric: a contiguous group of
-// access switches, rebuilt as its own world with testbed.SubtreeTopology
-// so every kept switch retains its global Domain — and with it its DHCP
-// sub-pools, its device names and its profile stream. Per-domain state
-// is therefore a pure function of (seed, domain), which is what makes
-// the serial run and any subtree partition produce identical reports,
-// impairment included; MergeReports folds the per-subtree reports with
-// the same associative merge the flat engine uses.
+// This file partitions fabric runs for the execution engine (shard.go).
+// On a hierarchical topology (testbed.FabricTopology) a world is not an
+// arbitrary slice of the device list but a subtree of the fabric: a
+// contiguous group of access switches, built as its own world with
+// testbed.SubtreeTopology so every kept switch retains its global
+// Domain — and with it its DHCP sub-pools, its device names and its
+// profile stream. Per-domain state is therefore a pure function of
+// (seed, domain), which is what makes the serial run (one group of
+// every switch) and any subtree partition produce identical reports,
+// impairment included.
 
 // FabricOptions parameterizes RunFabric.
 type FabricOptions struct {
@@ -37,7 +34,7 @@ type FabricOptions struct {
 	// one process while only a sample acts.
 	ActorsPerDomain int
 	// Shards is how many subtree worlds the access switches split
-	// across (default 1: one serial world).
+	// across (default 1: one serial world holding every switch).
 	Shards int
 	// Workers bounds concurrent subtree worlds (default GOMAXPROCS).
 	Workers int
@@ -50,12 +47,6 @@ type FabricOptions struct {
 	// fabric runs over the same topology amortize construction through
 	// the testbed Checkpoint/Reset lifecycle.
 	Pool *WorldPool
-	// Pathology, when non-empty, installs the named failure mode
-	// (internal/pathology) into every world this run builds. Capacity
-	// budgets receive each world's own acting-device count, so a
-	// subtree world gets exactly its slice of a global resource pool
-	// and serial ≡ subtree-sharded holds for exhaustion-driven modes.
-	Pathology string
 }
 
 // FabricDevices draws access switch as's acting population: actors
@@ -86,11 +77,11 @@ func resolveActors(opt FabricOptions, as testbed.AccessSwitchSpec) int {
 // tb's world, one device at a time: materialize the row, run the trial,
 // park the row. Parking returns the device to its table row, so the
 // world never holds more than one full client Host at once.
-func runFabricWorld(tb *testbed.Testbed, opt FabricOptions) *Report {
-	r := newTrialRunner(tb, opt.Run)
+func runFabricWorld(tb *testbed.Testbed, opt FabricOptions, ro RunOptions) *Report {
+	r := newTrialRunner(tb, ro)
 	fb := tb.Fabric
 	for i, as := range tb.Spec.Fabric.Access {
-		devs := FabricDevices(opt.Seed, as, resolveActors(opt, as), opt.Mix)
+		devs := FabricDevices(opt.Seed, as, opt.ActorsPerDomain, opt.Mix)
 		lo, _ := fb.Rows(i)
 		for j, spec := range devs {
 			row := lo + j
@@ -104,39 +95,14 @@ func runFabricWorld(tb *testbed.Testbed, opt FabricOptions) *Report {
 	return r.finish()
 }
 
-// allSwitches returns the index list [0, n).
-func allSwitches(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}
-
-// applyFabricPathology installs opt.Pathology (if any) into a freshly
-// built world, budgeting it with the acting-device count of the access
-// switches that world contains.
-func applyFabricPathology(tb *testbed.Testbed, full testbed.Topology, opt FabricOptions, keep []int) error {
-	if opt.Pathology == "" {
-		return nil
-	}
-	actors := 0
-	for _, sw := range keep {
-		actors += resolveActors(opt, full.Fabric.Access[sw])
-	}
-	if err := pathology.ApplySized(tb, opt.Pathology, actors); err != nil {
-		return fmt.Errorf("installing pathology %q: %w", opt.Pathology, err)
-	}
-	return nil
-}
-
-// RunFabric executes the acting population of a fabric topology, either
-// serially on one world (Shards <= 1) or partitioned into contiguous
-// access-switch subtrees, each rebuilt as an independent world and run
-// inside a bounded worker pool. On the position-independent
-// FabricTopology the merged report equals the serial run's exactly —
-// the same contract RunSharded has on flat worlds, now with the
-// partition following the fabric's own structure.
+// RunFabric executes the acting population of a fabric topology,
+// partitioned into opt.Shards contiguous access-switch groups (one
+// group of every switch by default), each built as an independent
+// subtree world and run by the execution engine. Pooled worlds are
+// keyed by group index, so a serial run checks out key 0. On the
+// position-independent FabricTopology the merged report equals the
+// serial run's exactly — the same contract RunSharded has on flat
+// worlds, with the partition following the fabric's own structure.
 func RunFabric(full testbed.Topology, opt FabricOptions) (*Report, error) {
 	if !full.Fabric.Enabled() {
 		return nil, errors.New("scenario: RunFabric needs a fabric topology")
@@ -144,126 +110,23 @@ func RunFabric(full testbed.Topology, opt FabricOptions) (*Report, error) {
 	if opt.Mix == nil {
 		opt.Mix = DefaultMix()
 	}
-	access := len(full.Fabric.Access)
-	shards := opt.Shards
-	if shards < 1 {
-		shards = 1
-	}
-	if shards > access {
-		shards = access
-	}
-
-	buildWorld := func(keep []int, spec testbed.Topology) (*testbed.Testbed, error) {
-		tb, err := testbed.Build(spec)
-		if err != nil {
-			return nil, err
-		}
-		if err := applyFabricPathology(tb, full, opt, keep); err != nil {
-			tb.Close()
-			return nil, err
-		}
-		return tb, nil
-	}
-
-	if shards == 1 {
-		var tb *testbed.Testbed
-		var err error
-		if opt.Pool != nil {
-			tb, err = opt.Pool.Get(0, func() (*testbed.Testbed, error) {
-				return buildWorld(allSwitches(access), full)
-			})
-		} else {
-			tb, err = buildWorld(allSwitches(access), full)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("scenario: building fabric world: %w", err)
-		}
-		rep := runFabricWorld(tb, opt)
-		if opt.Pool != nil {
-			detachLogs(rep)
-			opt.Pool.Put(0, tb)
-		} else {
-			tb.Close()
-		}
-		return rep, nil
-	}
-
-	// Contiguous switch groups: concatenating them in index order walks
-	// the access switches exactly as the serial world does.
-	groups := make([][]int, 0, shards)
-	for i := 0; i < shards; i++ {
-		lo, hi := i*access/shards, (i+1)*access/shards
-		keep := make([]int, 0, hi-lo)
-		for j := lo; j < hi; j++ {
-			keep = append(keep, j)
-		}
-		groups = append(groups, keep)
-	}
-
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(groups) {
-		workers = len(groups)
-	}
-
-	reports := make([]*Report, len(groups))
-	errs := make([]error, len(groups))
-	next := make(chan int)
-	shared := sharedSink(opt.Run.Sink)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				build := func() (*testbed.Testbed, error) {
-					return buildWorld(groups[i], testbed.SubtreeTopology(full, groups[i]))
-				}
-				var tb *testbed.Testbed
-				var err error
-				if opt.Pool != nil {
-					tb, err = opt.Pool.Get(i, build)
-				} else {
-					tb, err = build()
-				}
-				if err != nil {
-					errs[i] = fmt.Errorf("scenario: subtree shard %d: %w", i, err)
-					continue
-				}
-				wopt := opt
-				if shared != nil {
-					wopt.Run.Sink = shared
-				}
-				wopt.Run.rowShard = i
-				reports[i] = runFabricWorld(tb, wopt)
-				if opt.Pool != nil {
-					detachLogs(reports[i])
-					opt.Pool.Put(i, tb)
-				} else {
-					tb.Close()
-				}
-			}
-		}()
-	}
-	for i := range groups {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-
-	if err := errors.Join(errs...); err != nil {
-		return nil, err
-	}
-	rep := MergeReports(reports...)
-	rep.Shards = make([]ShardInfo, len(groups))
+	groups := partition(len(full.Fabric.Access), opt.Shards)
+	worlds := make([]world, len(groups))
 	for i, g := range groups {
-		n := 0
-		for _, sw := range g {
-			n += resolveActors(opt, full.Fabric.Access[sw])
+		keep := make([]int, 0, g.hi-g.lo)
+		actors := 0
+		for sw := g.lo; sw < g.hi; sw++ {
+			keep = append(keep, sw)
+			actors += resolveActors(opt, full.Fabric.Access[sw])
 		}
-		rep.Shards[i] = ShardInfo{Index: i, Seed: deriveSeed(opt.Seed, i), Devices: n}
+		worlds[i] = world{
+			key:   i,
+			info:  ShardInfo{Index: i, Seed: deriveSeed(opt.Seed, i), Devices: actors},
+			build: func() (*testbed.Testbed, error) { return testbed.Build(testbed.SubtreeTopology(full, keep)) },
+			run: func(tb *testbed.Testbed, ro RunOptions) *Report {
+				return runFabricWorld(tb, opt, ro)
+			},
+		}
 	}
-	return rep, nil
+	return runWorlds(worlds, opt.Workers, opt.Pool, opt.Run)
 }

@@ -102,11 +102,23 @@ func TestRunFabricSerialSmoke(t *testing.T) {
 	if rep.Informed+rep.InternetOK == 0 {
 		t.Error("no device reached any outcome")
 	}
+	if len(rep.Shards) != 1 {
+		t.Errorf("serial run reported %d shard infos, want 1", len(rep.Shards))
+	}
 }
 
-// TestRunFabricRejectsFlatTopology pins the gating error.
+// TestRunFabricRejectsFlatTopology pins the gating error, and that a
+// fabric spec Build rejects fails the run with an error, serial or
+// sharded.
 func TestRunFabricRejectsFlatTopology(t *testing.T) {
 	if _, err := RunFabric(testbed.DefaultTopology(testbed.DefaultOptions()), FabricOptions{}); err == nil {
 		t.Fatal("RunFabric accepted a flat topology")
+	}
+	bad := testbed.FabricTopology(testbed.DefaultOptions(), 2, 2)
+	bad.GatewayLANv4 = bad.Gateway.WANv4 // outside the LAN: Build must reject
+	for _, k := range []int{1, 2} {
+		if _, err := RunFabric(bad, FabricOptions{Shards: k}); err == nil {
+			t.Errorf("Shards=%d: build failure not surfaced", k)
+		}
 	}
 }

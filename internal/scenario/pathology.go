@@ -60,7 +60,7 @@ type PathologyMatrix struct {
 
 // PathologySpec returns the topology a sweep cell builds its worlds
 // from. Exposed so tests and CLIs can reproduce a single cell exactly;
-// the pathology itself is installed post-build by pathology.Factory.
+// the pathology itself is installed post-build by pathology.FactorySized.
 func PathologySpec(n int) testbed.Topology {
 	return testbed.ScaleTopology(testbed.DefaultOptions(), n)
 }

@@ -16,16 +16,17 @@ import (
 // shard world gets an identical install), so a device's outcome stays a
 // pure function of its spec — the same contract the chaos and fabric
 // lanes pin. The pathology rotates with the seed so every failure mode
-// gets sharded coverage.
+// gets sharded coverage. The stateless pathologies carry no Budget, so
+// the device count the sized factory receives changes nothing here.
 func TestPathologyShardedMatchesSerial(t *testing.T) {
 	const n = 12
 	names := pathology.Names()[1:] // skip "none": the baseline is TestChaosZeroImpairmentIsLegacy's job
 	for seed := int64(1); seed <= 5; seed++ {
 		name := names[int(seed-1)%len(names)]
 		devices := Population(seed, n, DefaultMix())
-		fac := pathology.Factory(testbed.Factory{Spec: PathologySpec(n)}.Build, name)
+		fac := pathology.FactorySized(testbed.Factory{Spec: PathologySpec(n)}.Build, name)
 
-		world, err := fac()
+		world, err := fac(n)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -34,7 +35,7 @@ func TestPathologyShardedMatchesSerial(t *testing.T) {
 
 		for _, k := range []int{2, 8} {
 			t.Run(fmt.Sprintf("seed%d/k%d/%s", seed, k, name), func(t *testing.T) {
-				sharded, err := RunSharded(fac, devices, ShardOptions{Shards: k, Seed: seed})
+				sharded, err := RunShardedSized(fac, devices, ShardOptions{Shards: k, Seed: seed})
 				if err != nil {
 					t.Fatal(err)
 				}

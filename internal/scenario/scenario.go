@@ -6,17 +6,20 @@
 // intervention, and how IPv4-literal applications (Fig. 2's Echolink
 // station) pollute the statistic either way.
 //
-// Run brings a population up serially on one world; RunSharded splits
-// it across K independently built worlds (a testbed.Factory supplies
-// them) and folds the per-shard reports with MergeReports — on a
-// position-independent topology the merged aggregates equal the serial
-// run's exactly, which the tests pin byte for byte. RunOptions layers
-// fault injection on either engine: per-device gateway reboots with
-// re-convergence probing, over link impairment carried by the world's
-// topology spec. ChaosSweep drives the full loss × churn grid and
-// renders the outcome as a DegradationMatrix whose String output
-// contains only counters and virtual-clock durations, so the chaos
-// experiment's text is reproducible verbatim.
+// Run brings a population up serially on one given world. Everything
+// else goes through one execution engine: RunSharded splits a flat
+// population across K independently built worlds (a testbed.Factory
+// supplies them), RunFabric splits a fabric's access switches into K
+// subtree worlds, and both hand their worlds to the same worker pool,
+// WorldPool checkout and MergeReports fold — on a position-independent
+// topology the merged aggregates equal the serial run's exactly, which
+// the tests pin byte for byte. RunOptions layers fault injection on
+// every run: per-device gateway reboots with re-convergence probing,
+// over link impairment carried by the world's topology spec. ChaosSweep
+// drives the full loss × churn grid and renders the outcome as a
+// DegradationMatrix whose String output contains only counters and
+// virtual-clock durations, so the chaos experiment's text is
+// reproducible verbatim.
 package scenario
 
 import (
@@ -211,7 +214,9 @@ type Report struct {
 	// associatively across shards.
 	Traffic *TrafficReport
 
-	// Shards describes how the run was partitioned (nil for serial Run).
+	// Shards describes how the run was partitioned: one entry per world
+	// for RunSharded, RunShardedSized and RunFabric (a single entry when
+	// they run serially), nil for Run and RunWith.
 	Shards []ShardInfo
 }
 

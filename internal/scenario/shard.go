@@ -11,17 +11,19 @@ import (
 	"repro/internal/testbed"
 )
 
-// This file is the sharded execution engine: instead of bringing every
-// device up serially on one world, the population is split into K
-// deterministic shards, each shard runs on its own freshly built world
-// inside a bounded worker pool, and the per-shard reports fold into one
-// aggregate with an associative merge. Worlds are fully independent
-// (own fabric, clock, MAC space), so the only cross-goroutine state is
-// the result slots. Beyond wall-clock parallelism there is an
-// algorithmic win: broadcast-domain work (ARP, DHCP, RA flooding) is
-// quadratic in clients-per-switch, so K worlds of N/K clients do ~1/K
-// of the flooding a single N-client world does — the speedup holds even
-// on one core.
+// This file is the scenario package's one execution engine. A run is a
+// list of independent worlds: RunShardedSized makes one per contiguous
+// slice of a flat population, RunFabric (fabric.go) one per contiguous
+// group of access switches. runWorlds builds or checks out each world,
+// runs it inside a bounded worker pool, parks or closes it, and folds
+// the per-world reports into one aggregate with an associative merge.
+// Worlds are fully independent (own fabric, clock, MAC space), so the
+// only cross-goroutine state is the result slots and the shared row
+// sink. Beyond wall-clock parallelism there is an algorithmic win:
+// broadcast-domain work (ARP, DHCP, RA flooding) is quadratic in
+// clients-per-switch, so K worlds of N/K clients do ~1/K of the
+// flooding a single N-client world does — the speedup holds even on
+// one core.
 
 // WorldFactory builds one fresh, independent world for a shard.
 // testbed.Factory.Build satisfies it; any closure over testbed.Build
@@ -84,19 +86,32 @@ type Shard struct {
 // k is clamped to [1, len(devices)] (a shard is never empty unless the
 // population is).
 func ShardDevices(seed int64, devices []DeviceSpec, k int) []Shard {
+	spans := partition(len(devices), k)
+	shards := make([]Shard, len(spans))
+	for i, sp := range spans {
+		shards[i] = Shard{Index: i, Seed: deriveSeed(seed, i), Devices: devices[sp.lo:sp.hi]}
+	}
+	return shards
+}
+
+// span is the half-open range [lo, hi) of one partition part.
+type span struct{ lo, hi int }
+
+// partition splits n items into k contiguous, near-equal spans whose
+// concatenation in index order is [0, n). k is clamped to [1, n] (to at
+// least 1 when n is 0, so every span is then empty).
+func partition(n, k int) []span {
 	if k < 1 {
 		k = 1
 	}
-	if len(devices) > 0 && k > len(devices) {
-		k = len(devices)
+	if n > 0 && k > n {
+		k = n
 	}
-	shards := make([]Shard, 0, k)
-	for i := 0; i < k; i++ {
-		lo := i * len(devices) / k
-		hi := (i + 1) * len(devices) / k
-		shards = append(shards, Shard{Index: i, Seed: deriveSeed(seed, i), Devices: devices[lo:hi]})
+	spans := make([]span, k)
+	for i := range spans {
+		spans[i] = span{i * n / k, (i + 1) * n / k}
 	}
-	return shards
+	return spans
 }
 
 // deriveSeed mixes the base seed with a shard index through the
@@ -134,54 +149,87 @@ func RunShardedSized(factory SizedWorldFactory, devices []DeviceSpec, opt ShardO
 		return nil, errors.New("scenario: RunShardedSized needs a world factory")
 	}
 	shards := ShardDevices(opt.Seed, devices, opt.Shards)
-	workers := opt.Workers
+	worlds := make([]world, len(shards))
+	for i, s := range shards {
+		n := len(s.Devices)
+		worlds[i] = world{
+			key:   n,
+			info:  ShardInfo{Index: s.Index, Seed: s.Seed, Devices: n},
+			build: func() (*testbed.Testbed, error) { return factory(n) },
+			run: func(tb *testbed.Testbed, ro RunOptions) *Report {
+				return RunWith(tb, s.Devices, ro)
+			},
+		}
+	}
+	return runWorlds(worlds, opt.Workers, opt.Pool, opt.Run)
+}
+
+// world is one independent world of a partitioned run.
+type world struct {
+	// key is the WorldPool key the world is checked out under.
+	key  any
+	info ShardInfo
+	// build assembles a fresh world (on a pool miss, or every time
+	// without a pool).
+	build func() (*testbed.Testbed, error)
+	// run executes the world's share of the population.
+	run func(*testbed.Testbed, RunOptions) *Report
+}
+
+// runWorlds runs every world inside a pool of at most workers
+// goroutines (default GOMAXPROCS) and merges their reports in world
+// order. With a pool, worlds are checked out under their key and parked
+// after the run; without one, each is built fresh and closed. ro goes to
+// every world, its Sink serialized across workers and each world's rows
+// stamped with its shard index. Build errors are joined; any one fails
+// the run.
+func runWorlds(worlds []world, workers int, pool *WorldPool, ro RunOptions) (*Report, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(shards) {
-		workers = len(shards)
+	if workers > len(worlds) {
+		workers = len(worlds)
+	}
+	if shared := sharedSink(ro.Sink); shared != nil {
+		ro.Sink = shared
 	}
 
-	reports := make([]*Report, len(shards))
-	errs := make([]error, len(shards))
+	reports := make([]*Report, len(worlds))
+	errs := make([]error, len(worlds))
 	next := make(chan int)
-	shared := sharedSink(opt.Run.Sink)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				n := len(shards[i].Devices)
+				wd := worlds[i]
 				var tb *testbed.Testbed
 				var err error
-				if opt.Pool != nil {
-					tb, err = opt.Pool.Get(n, func() (*testbed.Testbed, error) { return factory(n) })
+				if pool != nil {
+					tb, err = pool.Get(wd.key, wd.build)
 				} else {
-					tb, err = factory(n)
+					tb, err = wd.build()
 				}
 				if err != nil {
-					errs[i] = fmt.Errorf("scenario: shard %d: building world: %w", i, err)
+					errs[i] = fmt.Errorf("scenario: shard %d: building world: %w", wd.info.Index, err)
 					continue
 				}
-				ro := opt.Run
-				if shared != nil {
-					ro.Sink = shared
-				}
-				ro.rowShard = i
-				reports[i] = RunWith(tb, shards[i].Devices, ro)
-				if opt.Pool != nil {
+				wro := ro
+				wro.rowShard = wd.info.Index
+				reports[i] = wd.run(tb, wro)
+				if pool != nil {
 					// The report aliases the world's live query logs; the
 					// next checkout's Reset rewinds them, so snapshot first.
 					detachLogs(reports[i])
-					opt.Pool.Put(n, tb)
+					pool.Put(wd.key, tb)
 				} else {
 					tb.Close()
 				}
 			}
 		}()
 	}
-	for i := range shards {
+	for i := range worlds {
 		next <- i
 	}
 	close(next)
@@ -191,9 +239,9 @@ func RunShardedSized(factory SizedWorldFactory, devices []DeviceSpec, opt ShardO
 		return nil, err
 	}
 	rep := MergeReports(reports...)
-	rep.Shards = make([]ShardInfo, len(shards))
-	for i, s := range shards {
-		rep.Shards[i] = ShardInfo{Index: s.Index, Seed: s.Seed, Devices: len(s.Devices)}
+	rep.Shards = make([]ShardInfo, len(worlds))
+	for i, wd := range worlds {
+		rep.Shards[i] = wd.info
 	}
 	return rep, nil
 }

@@ -87,7 +87,8 @@ func snapshotLog(l *dns.QueryLog) *dns.QueryLog {
 // exact post-Build state (or builds one and checkpoints it), Put parks
 // it for the next Get with the same key. Keys partition interchangeable
 // worlds — RunShardedSized keys by shard device count (worlds from one
-// sized factory differ only in that), RunFabric keys by subtree index.
+// sized factory differ only in that), RunFabric keys by subtree index
+// (0 for a serial run).
 // Worlds that cannot checkpoint (built clients) are closed on Put and
 // rebuilt on Get, so the pool degrades to build-per-run rather than
 // failing. Safe for concurrent use by shard workers.

@@ -352,7 +352,9 @@ func TestWorldPoolReuse(t *testing.T) {
 
 // TestWorldPoolFabricReuse runs the fabric engine twice through one
 // pool: the second run must reuse every subtree world and still match
-// the serial report.
+// the serial report. A serial run checks its one world out under key 0,
+// so a world pre-warmed there from the full topology is the one it runs
+// on and parks again.
 func TestWorldPoolFabricReuse(t *testing.T) {
 	spec := testbed.FabricTopology(testbed.DefaultOptions(), 4, 4)
 	opt := FabricOptions{Seed: 1, ActorsPerDomain: 2}
@@ -372,6 +374,36 @@ func TestWorldPoolFabricReuse(t *testing.T) {
 		}
 		assertReportsMatch(t, want, rep)
 	}
+
+	serialPool := NewWorldPool()
+	defer serialPool.Close()
+	warm, err := serialPool.Get(0, func() (*testbed.Testbed, error) { return testbed.Build(spec) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkpointed := warm.Net.Clock.Now()
+	serialPool.Put(0, warm)
+	opt.Shards = 1
+	opt.Pool = serialPool
+	rep, err := RunFabric(spec, opt)
+	if err != nil {
+		t.Fatalf("serial pooled run: %v", err)
+	}
+	assertReportsMatch(t, want, rep)
+	if !warm.Net.Clock.Now().After(checkpointed) {
+		t.Error("serial pooled run did not run on the pre-warmed world")
+	}
+	got, err := serialPool.Get(0, func() (*testbed.Testbed, error) {
+		t.Fatal("rebuilt")
+		return nil, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != warm {
+		t.Error("serial pooled run did not park the pre-warmed world under key 0")
+	}
+	serialPool.Put(0, got)
 }
 
 // TestWorldPoolClose pins the teardown contract: Close tears down idle

@@ -613,7 +613,7 @@ func (tb *Testbed) Close() {
 
 // Factory rebuilds fresh, fully independent copies of a world from its
 // spec. It is the hand-off point between the topology layer and the
-// sharded scenario engine: Factory.Build is a scenario.WorldFactory.
+// scenario execution engine: Factory.Build is a scenario.WorldFactory.
 type Factory struct {
 	Spec Topology
 }
