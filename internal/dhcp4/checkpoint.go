@@ -1,76 +1,36 @@
 package dhcp4
 
-import "net/netip"
+import "maps"
 
-// Checkpoint is an opaque deep copy of a Server's dynamic state
-// (leases, in-use set, the global and per-domain allocation cursors,
-// and counters), captured with Server.Checkpoint and restored with
-// Server.Restore for testbed world reuse. Pool configuration and the
-// domain layout are structural and are not captured.
-type Checkpoint struct {
-	leases        map[[6]byte]Lease
-	inUse         map[netip.Addr][6]byte
-	cursor        netip.Addr
-	domainCursors map[int]netip.Addr
+// Checkpoint is an opaque deep copy of a Server's state (leases, in-use
+// set, the global and per-domain allocation cursors, and counters),
+// captured with Server.Checkpoint and restored with Server.Restore for
+// testbed world reuse. The pool configuration is fixed after Build and
+// is not captured.
+type Checkpoint struct{ s state }
 
-	offers        uint64
-	acks          uint64
-	naks          uint64
-	option108Sent uint64
-	poolExhausted uint64
-}
+// Checkpoint deep-copies the server's state.
+func (s *Server) Checkpoint() *Checkpoint { return &Checkpoint{s.state.clone()} }
 
-// Checkpoint deep-copies the server's dynamic state, including every
-// per-domain round-robin cursor (fabric sub-pools advance them
-// independently of the global cursor).
-func (s *Server) Checkpoint() *Checkpoint {
-	c := &Checkpoint{
-		leases: make(map[[6]byte]Lease, len(s.leases)),
-		inUse:  make(map[netip.Addr][6]byte, len(s.inUse)),
-		cursor: s.cursor,
+// Restore rewinds the server to a previously captured Checkpoint.
+func (s *Server) Restore(c *Checkpoint) { s.state = c.s.clone() }
 
-		offers:        s.Offers,
-		acks:          s.Acks,
-		naks:          s.Naks,
-		option108Sent: s.Option108Sent,
-		poolExhausted: s.PoolExhausted,
-	}
+// clone copies s with fresh tables; leases and per-domain cursors are
+// held by pointer, so each is copied too.
+func (s state) clone() state {
+	c := s
+	c.leases = make(map[[6]byte]*Lease, len(s.leases))
 	for ch, l := range s.leases {
-		c.leases[ch] = *l
+		cp := *l
+		c.leases[ch] = &cp
 	}
-	for a, ch := range s.inUse {
-		c.inUse[a] = ch
-	}
+	c.inUse = maps.Clone(s.inUse)
 	if s.domains != nil {
-		c.domainCursors = make(map[int]netip.Addr, len(s.domains))
+		c.domains = make(map[int]*domainState, len(s.domains))
 		for d, ds := range s.domains {
-			c.domainCursors[d] = ds.cursor
+			cp := *ds
+			c.domains[d] = &cp
 		}
 	}
 	return c
-}
-
-// Restore rewinds the server to a previously captured Checkpoint.
-func (s *Server) Restore(c *Checkpoint) {
-	s.leases = make(map[[6]byte]*Lease, len(c.leases))
-	for ch, l := range c.leases {
-		cp := l
-		s.leases[ch] = &cp
-	}
-	s.inUse = make(map[netip.Addr][6]byte, len(c.inUse))
-	for a, ch := range c.inUse {
-		s.inUse[a] = ch
-	}
-	s.cursor = c.cursor
-	for d, cur := range c.domainCursors {
-		if ds, ok := s.domains[d]; ok {
-			ds.cursor = cur
-		}
-	}
-
-	s.Offers = c.offers
-	s.Acks = c.acks
-	s.Naks = c.naks
-	s.Option108Sent = c.option108Sent
-	s.PoolExhausted = c.poolExhausted
 }

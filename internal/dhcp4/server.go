@@ -36,7 +36,16 @@ type ServerConfig struct {
 type Server struct {
 	cfg ServerConfig
 	now func() time.Time
+	// domainOf maps a client MAC to its access domain (see SetDomains).
+	domainOf func(chaddr [6]byte) int
 
+	state
+}
+
+// state is everything about a Server that world reuse rewinds: leases,
+// allocation cursors and counters. Checkpoint and Restore copy it whole
+// through clone.
+type state struct {
 	leases map[[6]byte]*Lease
 	inUse  map[netip.Addr][6]byte
 	// cursor is where the next pool scan starts. Allocation is
@@ -53,8 +62,7 @@ type Server struct {
 	// MAC to its domain and each domain round-robins inside its own
 	// slice of the scope. Clients in unregistered domains fall back to
 	// the whole pool.
-	domains  map[int]*domainState
-	domainOf func(chaddr [6]byte) int
+	domains map[int]*domainState
 
 	// Counters for the experiment harness.
 	Offers        uint64
@@ -75,13 +83,11 @@ func NewServer(cfg ServerConfig, now func() time.Time) (*Server, error) {
 	if cfg.LeaseTime == 0 {
 		cfg.LeaseTime = time.Hour
 	}
-	return &Server{
-		cfg:    cfg,
-		now:    now,
+	return &Server{cfg: cfg, now: now, state: state{
 		leases: make(map[[6]byte]*Lease),
 		inUse:  make(map[netip.Addr][6]byte),
 		cursor: cfg.PoolStart,
-	}, nil
+	}}, nil
 }
 
 // Config returns the server's scope configuration.

@@ -29,6 +29,13 @@ type Cache struct {
 	// DefaultMaxEntries. Set before first use.
 	MaxEntries int
 
+	cacheState
+}
+
+// cacheState is everything about a Cache that world reuse rewinds: the
+// entry set in LRU order and the counters. Checkpoint and Restore copy
+// it whole through clone.
+type cacheState struct {
 	entries map[cacheKey]*cacheEntry
 	// Intrusive LRU list: head is most-recently-used, tail is coldest.
 	head, tail *cacheEntry
@@ -55,7 +62,8 @@ type cacheEntry struct {
 
 // NewCache builds a cache over inner using now for time.
 func NewCache(inner Resolver, now func() time.Time) *Cache {
-	return &Cache{Inner: inner, Now: now, NegativeTTL: 60 * time.Second, entries: make(map[cacheKey]*cacheEntry)}
+	return &Cache{Inner: inner, Now: now, NegativeTTL: 60 * time.Second,
+		cacheState: cacheState{entries: make(map[cacheKey]*cacheEntry)}}
 }
 
 // NewCacheSize builds a cache with an explicit capacity bound.

@@ -1,67 +1,34 @@
 package dns
 
-import (
-	"time"
-
-	"repro/internal/dnswire"
-)
-
-// CacheCheckpoint is an opaque copy of a Cache's dynamic state (the
-// entry set in exact LRU order plus the lookup counters), captured with
+// CacheCheckpoint is an opaque copy of a Cache's state (the entry set
+// in exact LRU order plus the lookup counters), captured with
 // Cache.Checkpoint and restored with Cache.Restore for testbed world
 // reuse. Cached messages are shared, not cloned: the cache treats them
 // as immutable.
-type CacheCheckpoint struct {
-	entries []cacheEntrySnap // MRU → LRU order
-	hits    uint64
-	misses  uint64
-	evicts  uint64
-	expired uint64
-}
-
-type cacheEntrySnap struct {
-	key     cacheKey
-	msg     *dnswire.Message
-	expires time.Time
-}
+type CacheCheckpoint struct{ s cacheState }
 
 // Checkpoint copies the cache's entry set (preserving LRU order) and
 // counters.
-func (c *Cache) Checkpoint() *CacheCheckpoint {
-	cp := &CacheCheckpoint{
-		hits:    c.Hits,
-		misses:  c.Misses,
-		evicts:  c.Evictions,
-		expired: c.Expired,
-	}
-	for e := c.head; e != nil; e = e.next {
-		cp.entries = append(cp.entries, cacheEntrySnap{key: e.key, msg: e.msg, expires: e.expires})
-	}
-	return cp
-}
+func (c *Cache) Checkpoint() *CacheCheckpoint { return &CacheCheckpoint{c.cacheState.clone()} }
 
-// Restore rewinds the cache to a previously captured Checkpoint,
-// rebuilding the entry map and the intrusive LRU list in the recorded
-// order.
-func (c *Cache) Restore(cp *CacheCheckpoint) {
-	c.entries = make(map[cacheKey]*cacheEntry, len(cp.entries))
+// Restore rewinds the cache to a previously captured Checkpoint.
+func (c *Cache) Restore(cp *CacheCheckpoint) { c.cacheState = cp.s.clone() }
+
+// clone copies s with a fresh entry map and intrusive LRU list in the
+// same order.
+func (s cacheState) clone() cacheState {
+	c := s
+	c.entries = make(map[cacheKey]*cacheEntry, len(s.entries))
 	c.head, c.tail = nil, nil
-	var prev *cacheEntry
-	for _, s := range cp.entries {
-		e := &cacheEntry{key: s.key, msg: s.msg, expires: s.expires}
-		c.entries[s.key] = e
-		if prev == nil {
-			c.head = e
+	for e := s.head; e != nil; e = e.next {
+		cp := &cacheEntry{key: e.key, msg: e.msg, expires: e.expires, prev: c.tail}
+		if c.tail == nil {
+			c.head = cp
 		} else {
-			prev.next = e
-			e.prev = prev
+			c.tail.next = cp
 		}
-		prev = e
+		c.tail = cp
+		c.entries[e.key] = cp
 	}
-	c.tail = prev
-
-	c.Hits = cp.hits
-	c.Misses = cp.misses
-	c.Evictions = cp.evicts
-	c.Expired = cp.expired
+	return c
 }

@@ -95,19 +95,36 @@ type Gateway struct {
 	wanPeerMAC netsim.MAC
 	haveWAN    bool
 
+	DHCP  *dhcp4.Server
+	NAT44 *nat44.Translator
+	NAT64 *nat64.Translator
+
+	raTimer *netsim.Timer
+
+	// raDown, when non-nil and returning true, suppresses every Router
+	// Advertisement (periodic beacon or RS answer) at transmit time. The
+	// gateway-ra-outage pathology wires a pathology.Gate's Down here; the
+	// beacon timer keeps rearming through an outage so advertisements
+	// resume on the first beacon after the gate reopens.
+	raDown func() bool
+
+	state
+}
+
+// state is everything about the gateway itself that world reuse
+// rewinds: reboot history, neighbor caches, ACL and RA knobs, the
+// pending beacon deadline and the counters. The DHCP server and both
+// translators checkpoint their own state. Checkpoint and Restore copy
+// it whole through clone.
+type state struct {
 	rebootCount int
 	// prevGUA is the /64 advertised before the most recent reboot; RAs
 	// deprecate it (PreferredLifetime 0) so hosts abandon stale GUAs.
 	prevGUA netip.Prefix
 
-	DHCP  *dhcp4.Server
-	NAT44 *nat44.Translator
-	NAT64 *nat64.Translator
-
 	arp map[netip.Addr]netsim.MAC
 	nd  map[netip.Addr]netsim.MAC
 
-	raTimer *netsim.Timer
 	// raNextAt is the virtual deadline of the pending beacon; world
 	// reuse (Checkpoint/Restore) re-arms the timer at exactly this
 	// instant after a clock rewind.
@@ -116,12 +133,6 @@ type Gateway struct {
 	blockNAT44  bool
 	suppressPTB bool
 
-	// raDown, when non-nil and returning true, suppresses every Router
-	// Advertisement (periodic beacon or RS answer) at transmit time. The
-	// gateway-ra-outage pathology wires a pathology.Gate's Down here; the
-	// beacon timer keeps rearming through an outage so advertisements
-	// resume on the first beacon after the gate reopens.
-	raDown func() bool
 	// raValidLT/raPreferredLT/raRouterLT override the advertised SLAAC
 	// prefix and default-router lifetimes when positive (defaults 2h /
 	// 1h / 30min). Outage pathologies shorten them so hosts actually
@@ -171,9 +182,6 @@ func (g *Gateway) SetRALifetimes(valid, preferred, router time.Duration) {
 // and all IPv6 paths keep working.
 func (g *Gateway) BlockNAT44() { g.blockNAT44 = true }
 
-// UnblockNAT44 removes the ACL.
-func (g *Gateway) UnblockNAT44() { g.blockNAT44 = false }
-
 // New builds the gateway on the fabric.
 func New(net *netsim.Network, cfg Config) (*Gateway, error) {
 	if len(cfg.GUAPrefixes) == 0 {
@@ -188,12 +196,10 @@ func New(net *netsim.Network, cfg Config) (*Gateway, error) {
 	if cfg.DHCPLeaseTime == 0 {
 		cfg.DHCPLeaseTime = time.Hour
 	}
-	g := &Gateway{
-		cfg: cfg,
-		net: net,
+	g := &Gateway{cfg: cfg, net: net, state: state{
 		arp: make(map[netip.Addr]netsim.MAC),
 		nd:  make(map[netip.Addr]netsim.MAC),
-	}
+	}}
 	g.lan = net.NewNIC("gw5g-lan", netsim.FrameHandlerFunc(g.handleLAN))
 	g.wan = net.NewNIC("gw5g-wan", netsim.FrameHandlerFunc(g.handleWAN))
 	g.linkLocal = ndp.LinkLocal(g.lan.MAC())
@@ -307,7 +313,7 @@ func (g *Gateway) ConnectWAN(peer *netsim.NIC) {
 // Start begins the periodic RA beacon.
 func (g *Gateway) Start() {
 	g.sendRA()
-	g.armRATimer()
+	g.armRATimer(g.cfg.RAInterval)
 }
 
 // RebootCount returns how many times the gateway has power-cycled.
@@ -333,11 +339,13 @@ func (g *Gateway) Reboot() {
 	g.sendRA()
 }
 
-func (g *Gateway) armRATimer() {
-	g.raNextAt = g.net.Clock.Now().Add(g.cfg.RAInterval)
-	g.raTimer = g.net.Clock.AfterFunc(g.cfg.RAInterval, func() {
+// armRATimer schedules the next beacon d from now; each beacon re-arms
+// a full RAInterval later.
+func (g *Gateway) armRATimer(d time.Duration) {
+	g.raNextAt = g.net.Clock.Now().Add(d)
+	g.raTimer = g.net.Clock.AfterFunc(d, func() {
 		g.sendRA()
-		g.armRATimer()
+		g.armRATimer(g.cfg.RAInterval)
 	})
 }
 

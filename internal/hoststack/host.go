@@ -48,41 +48,56 @@ type Host struct {
 	NIC *netsim.NIC
 	B   Behavior
 
-	name string
-	sel  *rfc6724.Selector
-
-	// IPv6 state.
+	name      string
+	sel       *rfc6724.Selector
 	linkLocal netip.Addr
-	v6Addrs   []V6Addr
-	routers   []routerEntry
-	rdnss     []netip.Addr
-	ndCache   map[netip.Addr]netsim.MAC
-	ndPending map[netip.Addr][]*packet.IPv6
-	raMemos   []raMemo // verified RAs, one per advertising router
+
+	// Transient tables: pending ND/ARP resolution queues, open TCP
+	// connections and their accept hooks, in-flight pings, and the RA
+	// memo (verified RAs, one per advertising router). Restore empties
+	// them all.
+	ndPending  map[netip.Addr][]*packet.IPv6
+	arpPending map[netip.Addr][]*packet.IPv4
+	tcpConns   map[tcpKey]*TCPConn
+	accepts    map[tcpKey]func(*TCPConn)
+	pings      map[uint16]*pingWaiter
+	raMemos    []raMemo
+
+	// Events is a human-readable trace of notable state changes.
+	Events []string
+
+	hostState
+}
+
+// hostState is the host's protocol state that world reuse rewinds:
+// addressing, neighbor/ARP caches, DHCP client state, socket tables,
+// identifier sequences and counters. Checkpoint and Restore copy it
+// whole through clone.
+type hostState struct {
+	// IPv6 state.
+	v6Addrs []V6Addr
+	routers []routerEntry
+	rdnss   []netip.Addr
+	ndCache map[netip.Addr]netsim.MAC
 
 	// IPv4 state.
-	v4Addr     netip.Addr
-	v4Aliases  []netip.Addr
-	v4Prefix   netip.Prefix
-	v4Router   netip.Addr
-	v4DNS      []netip.Addr
-	v4Domain   string
-	arpCache   map[netip.Addr]netsim.MAC
-	arpPending map[netip.Addr][]*packet.IPv4
+	v4Addr    netip.Addr
+	v4Aliases []netip.Addr
+	v4Prefix  netip.Prefix
+	v4Router  netip.Addr
+	v4DNS     []netip.Addr
+	v4Domain  string
+	arpCache  map[netip.Addr]netsim.MAC
 
 	dhcp        dhcpClient
 	v6OnlyUntil time.Time
 	clat        *clat.Translator
 	clatPorts   map[portKey]bool
 
-	udpBind  map[uint16]UDPHandler
-	udpNext  uint16
-	tcpConns map[tcpKey]*TCPConn
-	tcpNext  uint16
-	listens  map[uint16]func(*TCPConn)
-	accepts  map[tcpKey]func(*TCPConn)
-
-	pings map[uint16]*pingWaiter
+	udpBind map[uint16]UDPHandler
+	udpNext uint16
+	tcpNext uint16
+	listens map[uint16]func(*TCPConn)
 
 	// Protocol identifier sequences (DHCP xid, DNS message ID, ICMP echo
 	// ID). These used to be package globals; keeping them per-host makes
@@ -114,9 +129,6 @@ type Host struct {
 	// DNSOverride, when set, replaces every learned resolver (the
 	// Nintendo Switch escape hatch in the paper's Fig. 6 discussion).
 	DNSOverride []netip.Addr
-
-	// Events is a human-readable trace of notable state changes.
-	Events []string
 }
 
 // New creates a host on net with the given behaviour. The returned host
@@ -127,17 +139,19 @@ func New(net *netsim.Network, name string, b Behavior) *Host {
 		B:          b,
 		name:       name,
 		sel:        rfc6724.NewSelector(),
-		ndCache:    make(map[netip.Addr]netsim.MAC),
 		ndPending:  make(map[netip.Addr][]*packet.IPv6),
-		arpCache:   make(map[netip.Addr]netsim.MAC),
 		arpPending: make(map[netip.Addr][]*packet.IPv4),
-		clatPorts:  make(map[portKey]bool),
-		udpBind:    make(map[uint16]UDPHandler),
-		udpNext:    49152,
 		tcpConns:   make(map[tcpKey]*TCPConn),
-		tcpNext:    52000,
-		listens:    make(map[uint16]func(*TCPConn)),
-		pmtu:       make(map[netip.Addr]int),
+		hostState: hostState{
+			ndCache:   make(map[netip.Addr]netsim.MAC),
+			arpCache:  make(map[netip.Addr]netsim.MAC),
+			clatPorts: make(map[portKey]bool),
+			udpBind:   make(map[uint16]UDPHandler),
+			udpNext:   49152,
+			tcpNext:   52000,
+			listens:   make(map[uint16]func(*TCPConn)),
+			pmtu:      make(map[netip.Addr]int),
+		},
 	}
 	h.NIC = net.NewNIC(name, h)
 	// Declare the flood interests that mirror HandleFrame's demux guards,
@@ -248,13 +262,6 @@ func (h *Host) IPv6OnlyActive() bool {
 
 // CLATActive reports whether the 464XLAT translator is running.
 func (h *Host) CLATActive() bool { return h.clat != nil }
-
-// TCPConnCount reports live entries in the connection table
-// (observability; finished connections are reaped).
-func (h *Host) TCPConnCount() int { return len(h.tcpConns) }
-
-// UDPBindCount reports bound UDP ports (servers plus in-flight queries).
-func (h *Host) UDPBindCount() int { return len(h.udpBind) }
 
 // SetIPv4Static configures IPv4 manually (servers; hosts with DHCP off).
 func (h *Host) SetIPv4Static(addr netip.Addr, prefix netip.Prefix, router netip.Addr) {

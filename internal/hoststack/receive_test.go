@@ -1,6 +1,7 @@
 package hoststack
 
 import (
+	"maps"
 	"net/netip"
 	"reflect"
 	"testing"
@@ -27,7 +28,7 @@ func viewRA(h *Host) raView {
 		Routers: append([]routerEntry(nil), h.routers...),
 		V6Addrs: h.V6Addresses(),
 		RDNSS:   h.RDNSS(),
-		ND:      cloneMACMap(h.ndCache),
+		ND:      maps.Clone(h.ndCache),
 		Pref64:  h.nat64Prefix,
 		Events:  append([]string(nil), h.Events...),
 	}

@@ -65,14 +65,10 @@ type SeqState struct {
 	PingID  uint16
 }
 
-// Row flags.
-const (
-	// rowMaterialized marks a row whose Host currently exists.
-	rowMaterialized uint8 = 1 << iota
-	// rowEverActive marks a row that has been materialized at least once
-	// (its saved SeqState and addresses are meaningful).
-	rowEverActive
-)
+// rowEverActive is the row flag marking a row that has been
+// materialized at least once (its saved SeqState and addresses are
+// meaningful).
+const rowEverActive uint8 = 1
 
 // Table is the struct-of-arrays store for registered clients. Each row
 // costs ~31 bytes plus a share of the slice headers; one million
@@ -112,9 +108,6 @@ func (t *Table) Add(profile BehaviorID) int {
 // Len returns the number of registered rows.
 func (t *Table) Len() int { return len(t.profile) }
 
-// ProfileID returns row i's flyweight profile handle.
-func (t *Table) ProfileID(i int) BehaviorID { return t.profile[i] }
-
 // SetProfile records row i's profile (worlds that register rows before
 // the population mix is drawn overwrite the placeholder here).
 func (t *Table) SetProfile(i int, id BehaviorID) { t.profile[i] = id }
@@ -142,22 +135,17 @@ func (t *Table) V6(i int) netip.Addr {
 	return netip.AddrFrom16(t.v6[i])
 }
 
-// Materialized reports whether row i currently has a live Host.
-func (t *Table) Materialized(i int) bool { return t.flags[i]&rowMaterialized != 0 }
-
-// EverActive reports whether row i has ever been materialized.
-func (t *Table) EverActive(i int) bool { return t.flags[i]&rowEverActive != 0 }
-
-// MarkMaterialized flags row i as live and seeds h with the row's saved
-// sequence counters so identifier streams continue across park cycles.
+// MarkMaterialized seeds h with row i's saved sequence counters, so
+// identifier streams continue across park cycles, and flags the row as
+// ever active.
 func (t *Table) MarkMaterialized(i int, h *Host) {
 	if t.flags[i]&rowEverActive != 0 {
 		h.SetSequenceState(t.seq[i])
 	}
-	t.flags[i] |= rowMaterialized | rowEverActive
+	t.flags[i] |= rowEverActive
 }
 
-// Park saves h's mutable state back into row i and flags the row idle.
+// Park saves h's mutable state back into row i.
 // The caller remains responsible for detaching the host's port.
 func (t *Table) Park(i int, h *Host) {
 	t.seq[i] = h.SequenceState()
@@ -169,7 +157,6 @@ func (t *Table) Park(i int, h *Host) {
 	if gs := h.IPv6GlobalAddrs(); len(gs) > 0 {
 		t.v6[i] = gs[0].As16()
 	}
-	t.flags[i] &^= rowMaterialized
 }
 
 // SequenceState snapshots the host's protocol identifier counters.

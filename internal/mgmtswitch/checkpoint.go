@@ -1,32 +1,20 @@
 package mgmtswitch
 
-import (
-	"time"
-
-	"repro/internal/netsim"
-)
+import "repro/internal/netsim"
 
 // Checkpoint is an opaque copy of the managed switch's dynamic state:
-// the embedded forwarding-plane snapshot (learned table, snooped
-// interest bitsets, filters, port-table length) plus the switch's own
-// counters and pending ULA-beacon deadline. Captured with
+// the embedded forwarding-plane snapshot plus the switch's own state
+// (counters and pending ULA-beacon deadline). Captured with
 // Switch.Checkpoint and restored with Switch.Restore for testbed world
 // reuse.
 type Checkpoint struct {
-	plane        *netsim.SwitchSnapshot
-	raNextAt     time.Time
-	snoopedDrops uint64
-	rasSent      uint64
+	plane *netsim.SwitchSnapshot
+	s     state
 }
 
 // Checkpoint captures the switch's dynamic state.
 func (s *Switch) Checkpoint() *Checkpoint {
-	return &Checkpoint{
-		plane:        s.Switch.Snapshot(),
-		raNextAt:     s.raNextAt,
-		snoopedDrops: s.SnoopedDrops,
-		rasSent:      s.RAsSent,
-	}
+	return &Checkpoint{s.Switch.Snapshot(), s.state.clone()}
 }
 
 // Restore rewinds the switch to a previously captured Checkpoint and,
@@ -34,13 +22,12 @@ func (s *Switch) Checkpoint() *Checkpoint {
 // The caller must have already rewound the network clock.
 func (s *Switch) Restore(c *Checkpoint) {
 	s.Switch.RestoreSnapshot(c.plane)
-	s.SnoopedDrops = c.snoopedDrops
-	s.RAsSent = c.rasSent
-	s.raNextAt = c.raNextAt
+	s.state = c.s.clone()
 	if s.cfg.AdvertiseULA {
-		s.raTimer = s.net.Clock.AfterFunc(c.raNextAt.Sub(s.net.Clock.Now()), func() {
-			s.sendRA()
-			s.armRATimer()
-		})
+		s.armRATimer(s.raNextAt.Sub(s.net.Clock.Now()))
 	}
 }
+
+// clone returns a copy of s. Every field is a value, so the plain copy
+// is already deep.
+func (s state) clone() state { return s }

@@ -48,6 +48,14 @@ type Switch struct {
 
 	blockedPorts map[int]bool
 	raTimer      *netsim.Timer
+
+	state
+}
+
+// state is everything about the managed switch's own features that
+// world reuse rewinds (the embedded forwarding plane has its own
+// snapshot); Checkpoint and Restore copy it whole.
+type state struct {
 	// raNextAt is the virtual deadline of the pending ULA beacon; world
 	// reuse re-arms the timer at exactly this instant after a rewind.
 	raNextAt time.Time
@@ -173,14 +181,16 @@ func (s *Switch) Start() {
 		return
 	}
 	s.sendRA()
-	s.armRATimer()
+	s.armRATimer(s.cfg.RAInterval)
 }
 
-func (s *Switch) armRATimer() {
-	s.raNextAt = s.net.Clock.Now().Add(s.cfg.RAInterval)
-	s.raTimer = s.net.Clock.AfterFunc(s.cfg.RAInterval, func() {
+// armRATimer schedules the next beacon d from now; each beacon re-arms
+// a full RAInterval later.
+func (s *Switch) armRATimer(d time.Duration) {
+	s.raNextAt = s.net.Clock.Now().Add(d)
+	s.raTimer = s.net.Clock.AfterFunc(d, func() {
 		s.sendRA()
-		s.armRATimer()
+		s.armRATimer(s.cfg.RAInterval)
 	})
 }
 

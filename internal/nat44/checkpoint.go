@@ -1,55 +1,47 @@
 package nat44
 
-// Checkpoint is an opaque deep copy of a Translator's dynamic state
-// (session tables, port cursor, log length and counters), captured with
+// Checkpoint is an opaque deep copy of a Translator's state plus the
+// length of its append-only session Log, captured with
 // Translator.Checkpoint and restored with Translator.Restore for
 // testbed world reuse.
 type Checkpoint struct {
-	sessions map[key]*session // clones; inbound map rebuilt from these
-	nextPort uint16
-	logLen   int
-
-	translated uint64
-	dropped    uint64
-	bytesOut   uint64
-	bytesIn    uint64
+	s      state
+	logLen int
 }
 
-// Checkpoint deep-copies the translator's dynamic state. The
-// append-only session Log is captured by length and truncated on
-// restore rather than copied.
+// Checkpoint deep-copies the translator's state. The Log is captured
+// by length and truncated on restore rather than copied.
 func (t *Translator) Checkpoint() *Checkpoint {
-	c := &Checkpoint{
-		sessions: make(map[key]*session, len(t.outbound)),
-		nextPort: t.nextPort,
-		logLen:   len(t.Log),
-
-		translated: t.Translated,
-		dropped:    t.Dropped,
-		bytesOut:   t.BytesOut,
-		bytesIn:    t.BytesIn,
-	}
-	for k, s := range t.outbound {
-		cp := *s
-		c.sessions[k] = &cp
-	}
-	return c
+	return &Checkpoint{t.state.clone(), len(t.Log)}
 }
 
 // Restore rewinds the translator to a previously captured Checkpoint.
 func (t *Translator) Restore(c *Checkpoint) {
-	t.outbound = make(map[key]*session, len(c.sessions))
-	t.inbound = make(map[extKey]*session, len(c.sessions))
-	for k, s := range c.sessions {
-		cp := *s
-		t.outbound[k] = &cp
-		t.inbound[extKey{proto: k.proto, port: cp.extPort}] = &cp
-	}
-	t.nextPort = c.nextPort
+	t.state = c.s.clone()
 	t.Log = t.Log[:c.logLen]
+}
 
-	t.Translated = c.translated
-	t.Dropped = c.dropped
-	t.BytesOut = c.bytesOut
-	t.BytesIn = c.bytesIn
+// clone copies s with fresh session tables. The outbound and inbound
+// tables alias the same *session values; the copy aliases its own
+// clones the same way.
+func (s state) clone() state {
+	c := s
+	c.outbound = make(map[key]*session, len(s.outbound))
+	c.inbound = make(map[extKey]*session, len(s.inbound))
+	dup := make(map[*session]*session, len(s.outbound))
+	cloneOf := func(p *session) *session {
+		if q, ok := dup[p]; ok {
+			return q
+		}
+		q := *p
+		dup[p] = &q
+		return &q
+	}
+	for k, p := range s.outbound {
+		c.outbound[k] = cloneOf(p)
+	}
+	for k, p := range s.inbound {
+		c.inbound[k] = cloneOf(p)
+	}
+	return c
 }

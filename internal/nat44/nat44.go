@@ -39,14 +39,21 @@ type Translator struct {
 	now     func() time.Time
 	timeout time.Duration
 
+	// Log holds one entry per new session (not per packet).
+	Log []LogEntry
+
+	state
+}
+
+// state is everything about a Translator that world reuse rewinds
+// (session tables, port pool and counters); Checkpoint and Restore
+// copy it whole through clone.
+type state struct {
 	outbound map[key]*session
 	inbound  map[extKey]*session
 	nextPort uint16
 	portMin  uint16
 	portMax  uint16
-
-	// Log holds one entry per new session (not per packet).
-	Log []LogEntry
 
 	Translated uint64
 	Dropped    uint64
@@ -79,16 +86,13 @@ func New(public netip.Addr, now func() time.Time) (*Translator, error) {
 	if !public.Is4() {
 		return nil, fmt.Errorf("nat44: public address %v must be IPv4", public)
 	}
-	return &Translator{
-		public:   public,
-		now:      now,
-		timeout:  5 * time.Minute,
+	return &Translator{public: public, now: now, timeout: 5 * time.Minute, state: state{
 		outbound: make(map[key]*session),
 		inbound:  make(map[extKey]*session),
 		portMin:  32768,
 		portMax:  65535,
 		nextPort: 32768,
-	}, nil
+	}}, nil
 }
 
 // Public returns the translator's public address.

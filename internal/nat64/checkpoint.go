@@ -1,73 +1,38 @@
 package nat64
 
-// Checkpoint is an opaque deep copy of a Translator's dynamic state
-// (session tables, port cursor, counters and pathology knobs), captured
+// Checkpoint is an opaque deep copy of a Translator's state, captured
 // with Translator.Checkpoint and restored with Translator.Restore. It
 // backs testbed world reuse: a pooled world rewinds its translator to
 // the exact post-Build state instead of rebuilding the whole topology.
-type Checkpoint struct {
-	cfg      Config
-	sessions map[mapKey]*Session // clones; inbound map rebuilt from these
-	nextPort uint16
+type Checkpoint struct{ s state }
 
-	translatedOut      uint64
-	translatedIn       uint64
-	droppedNoSess      uint64
-	bytesOut           uint64
-	bytesIn            uint64
-	corruptChecksums   bool
-	checksumsCorrupted uint64
-	maxSessionsPerSrc  int
-	portsExhausted     uint64
-}
-
-// Checkpoint deep-copies the translator's dynamic state. Sessions are
-// cloned (the outbound and inbound tables alias the same *Session; the
-// clone set preserves that aliasing on restore).
-func (t *Translator) Checkpoint() *Checkpoint {
-	c := &Checkpoint{
-		cfg:      t.cfg,
-		sessions: make(map[mapKey]*Session, len(t.outbound)),
-		nextPort: t.nextPort,
-
-		translatedOut:      t.TranslatedOut,
-		translatedIn:       t.TranslatedIn,
-		droppedNoSess:      t.DroppedNoSess,
-		bytesOut:           t.BytesOut,
-		bytesIn:            t.BytesIn,
-		corruptChecksums:   t.CorruptChecksums,
-		checksumsCorrupted: t.ChecksumsCorrupted,
-		maxSessionsPerSrc:  t.MaxSessionsPerSource,
-		portsExhausted:     t.PortsExhausted,
-	}
-	for k, s := range t.outbound {
-		cp := *s
-		c.sessions[k] = &cp
-	}
-	return c
-}
+// Checkpoint deep-copies the translator's state.
+func (t *Translator) Checkpoint() *Checkpoint { return &Checkpoint{t.state.clone()} }
 
 // Restore rewinds the translator to a previously captured Checkpoint.
-// Both session tables are rebuilt from fresh clones so later mutation
-// never leaks back into the checkpoint.
-func (t *Translator) Restore(c *Checkpoint) {
-	t.cfg = c.cfg
-	t.outbound = make(map[mapKey]*Session, len(c.sessions))
-	t.inbound = make(map[extKey]*Session, len(c.sessions))
-	for k, s := range c.sessions {
-		cp := *s
-		t.outbound[k] = &cp
-		t.inbound[extKey{proto: k.proto, port: cp.ExtPort}] = &cp
-	}
-	t.nextPort = c.nextPort
+func (t *Translator) Restore(c *Checkpoint) { t.state = c.s.clone() }
 
-	t.TranslatedOut = c.translatedOut
-	t.TranslatedIn = c.translatedIn
-	t.DroppedNoSess = c.droppedNoSess
-	t.BytesOut = c.bytesOut
-	t.BytesIn = c.bytesIn
-	t.CorruptChecksums = c.corruptChecksums
-	t.ChecksumsCorrupted = c.checksumsCorrupted
-	t.MaxSessionsPerSource = c.maxSessionsPerSrc
-	t.PortsExhausted = c.portsExhausted
+// clone copies s with fresh session tables. The outbound and inbound
+// tables alias the same *Session values; the copy aliases its own
+// clones the same way.
+func (s state) clone() state {
+	c := s
+	c.outbound = make(map[mapKey]*Session, len(s.outbound))
+	c.inbound = make(map[extKey]*Session, len(s.inbound))
+	dup := make(map[*Session]*Session, len(s.outbound))
+	cloneOf := func(p *Session) *Session {
+		if q, ok := dup[p]; ok {
+			return q
+		}
+		q := *p
+		dup[p] = &q
+		return &q
+	}
+	for k, p := range s.outbound {
+		c.outbound[k] = cloneOf(p)
+	}
+	for k, p := range s.inbound {
+		c.inbound[k] = cloneOf(p)
+	}
+	return c
 }

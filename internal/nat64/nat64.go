@@ -83,8 +83,16 @@ type extKey struct {
 
 // Translator is a stateful NAT64.
 type Translator struct {
-	cfg Config
 	now func() time.Time
+	state
+}
+
+// state is everything about a Translator that world reuse rewinds:
+// configuration (pathology installs retune it), session tables, port
+// cursor, counters and pathology knobs. Checkpoint and Restore copy it
+// whole through clone.
+type state struct {
+	cfg Config
 
 	outbound map[mapKey]*Session
 	inbound  map[extKey]*Session
@@ -148,13 +156,12 @@ func New(cfg Config, now func() time.Time) (*Translator, error) {
 	if cfg.TCPTransTimeout == 0 {
 		cfg.TCPTransTimeout = DefaultTCPTransTimeout
 	}
-	return &Translator{
+	return &Translator{now: now, state: state{
 		cfg:      cfg,
-		now:      now,
 		outbound: make(map[mapKey]*Session),
 		inbound:  make(map[extKey]*Session),
 		nextPort: cfg.PortMin,
-	}, nil
+	}}, nil
 }
 
 // Config returns the active configuration.

@@ -1,70 +1,40 @@
 package netsim
 
-import "time"
+import (
+	"maps"
+	"slices"
+	"time"
+)
 
 // This file is the fabric half of the world-reuse lifecycle
-// (testbed.Reset): a Mark captures the Network's dynamic scheduler state
-// at a known-good instant — virtual clock position, sequence counters,
-// hot-path statistics and the MAC allocation watermark — and ResetTo
-// rewinds the fabric to exactly that state. Switches get the same
-// treatment with Snapshot/RestoreSnapshot: learned tables, snooped
-// interest bitsets, filters and port-table length all restore to their
-// at-mark values, so a pooled world replays client bring-up
-// byte-identically to a freshly built one (every MAC, every flood
-// decision and every same-instant ordering tie comes out the same).
+// (testbed.Reset): a Mark captures the Network's rewound state at a
+// known-good instant — virtual clock position plus netState (sequence
+// counters, hot-path statistics, the MAC allocation watermark) — and
+// ResetTo rewinds the fabric to exactly that state. Switches get the
+// same treatment with Snapshot/RestoreSnapshot over switchState, so a
+// pooled world replays client bring-up byte-identically to a freshly
+// built one (every MAC, every flood decision and every same-instant
+// ordering tie comes out the same).
 
 // Mark is an opaque snapshot of a Network's dynamic state, captured
 // with Network.Mark and restored with Network.ResetTo.
 type Mark struct {
+	s        netState
 	now      time.Time
-	seq      uint64
 	clockSeq uint64
-	macNext  uint32
 	ringNICs int
-
-	frames    uint64
-	dropped   uint64
-	queuePeak int
-
-	impairLost        uint64
-	impairDuplicated  uint64
-	impairReordered   uint64
-	impairFlapDropped uint64
-
-	fanoutEvents     uint64
-	fanoutDeliveries uint64
-	ringFrames       uint64
-	ringBatches      uint64
-	ringOverflows    uint64
 }
+
+// clone returns a copy of s. Every field is a value, so the plain copy
+// is already deep.
+func (s netState) clone() netState { return s }
 
 // Mark captures the fabric's dynamic state at the current instant. The
 // caller is responsible for capturing it at a quiescent point: pending
 // events and timers are NOT recorded (ResetTo drops whatever is pending
 // and the owner re-arms its own periodic timers).
 func (n *Network) Mark() Mark {
-	return Mark{
-		now:      n.Clock.now,
-		seq:      n.seq,
-		clockSeq: n.Clock.seq,
-		macNext:  n.macs.next,
-		ringNICs: len(n.ringNICs),
-
-		frames:    n.frames,
-		dropped:   n.dropped,
-		queuePeak: n.queuePeak,
-
-		impairLost:        n.impairLost,
-		impairDuplicated:  n.impairDuplicated,
-		impairReordered:   n.impairReordered,
-		impairFlapDropped: n.impairFlapDropped,
-
-		fanoutEvents:     n.fanoutEvents,
-		fanoutDeliveries: n.fanoutDeliveries,
-		ringFrames:       n.ringFrames,
-		ringBatches:      n.ringBatches,
-		ringOverflows:    n.ringOverflows,
-	}
+	return Mark{s: n.netState.clone(), now: n.Clock.now, clockSeq: n.Clock.seq, ringNICs: len(n.ringNICs)}
 }
 
 // ResetTo rewinds the fabric to a previously captured Mark: pending
@@ -78,28 +48,10 @@ func (n *Network) ResetTo(m Mark) {
 	n.stopped = false
 	n.queue = nil
 	n.clearRings()
-	if m.ringNICs < len(n.ringNICs) {
-		for i := m.ringNICs; i < len(n.ringNICs); i++ {
-			n.ringNICs[i] = nil
-		}
-		n.ringNICs = n.ringNICs[:m.ringNICs]
-	}
+	clear(n.ringNICs[m.ringNICs:])
+	n.ringNICs = n.ringNICs[:m.ringNICs]
 	n.arena.recycle()
-
-	n.seq = m.seq
-	n.macs.next = m.macNext
-	n.frames = m.frames
-	n.dropped = m.dropped
-	n.queuePeak = m.queuePeak
-	n.impairLost = m.impairLost
-	n.impairDuplicated = m.impairDuplicated
-	n.impairReordered = m.impairReordered
-	n.impairFlapDropped = m.impairFlapDropped
-	n.fanoutEvents = m.fanoutEvents
-	n.fanoutDeliveries = m.fanoutDeliveries
-	n.ringFrames = m.ringFrames
-	n.ringBatches = m.ringBatches
-	n.ringOverflows = m.ringOverflows
+	n.netState = m.s.clone()
 
 	n.Clock.reset()
 	n.Clock.advance(m.now)
@@ -109,71 +61,38 @@ func (n *Network) ResetTo(m Mark) {
 // SwitchSnapshot is an opaque copy of a switch's dynamic forwarding
 // state (Switch.Snapshot / Switch.RestoreSnapshot).
 type SwitchSnapshot struct {
+	s        switchState
 	nPorts   int
 	nFilters int
-	table    map[MAC]int
-
-	restricted portSet
-	wantARP    portSet
-	wantIPv4   portSet
-	wantIPv6   portSet
-	trunks     portSet
-	detached   portSet
-	groups     map[MAC]portSet
-	freePorts  []int
-
-	flooded      uint64
-	forwarded    uint64
-	filtered     uint64
-	fanoutFloods uint64
-	supEther     uint64
-	supGroup     uint64
-	supUnicast   uint64
 }
 
-func clonePortSet(s portSet) portSet {
-	if len(s) == 0 {
-		return nil
+// clone deep-copies s. Group membership sets are held by pointer, so
+// each is copied into a fresh set.
+func (s switchState) clone() switchState {
+	c := s
+	c.table = maps.Clone(s.table)
+	c.restricted = slices.Clone(s.restricted)
+	c.wantARP = slices.Clone(s.wantARP)
+	c.wantIPv4 = slices.Clone(s.wantIPv4)
+	c.wantIPv6 = slices.Clone(s.wantIPv6)
+	c.trunks = slices.Clone(s.trunks)
+	c.detached = slices.Clone(s.detached)
+	c.freePorts = slices.Clone(s.freePorts)
+	if s.groups != nil {
+		c.groups = make(map[MAC]*portSet, len(s.groups))
+		for g, ps := range s.groups {
+			cp := slices.Clone(*ps)
+			c.groups[g] = &cp
+		}
 	}
-	out := make(portSet, len(s))
-	copy(out, s)
-	return out
+	return c
 }
 
 // Snapshot deep-copies the switch's dynamic state: learned MAC table,
 // snooped interest bitsets, group membership, free-slot list, counters,
 // and the current port- and filter-table lengths.
 func (s *Switch) Snapshot() *SwitchSnapshot {
-	sn := &SwitchSnapshot{
-		nPorts:     len(s.ports),
-		nFilters:   len(s.filters),
-		table:      make(map[MAC]int, len(s.table)),
-		restricted: clonePortSet(s.restricted),
-		wantARP:    clonePortSet(s.wantARP),
-		wantIPv4:   clonePortSet(s.wantIPv4),
-		wantIPv6:   clonePortSet(s.wantIPv6),
-		trunks:     clonePortSet(s.trunks),
-		detached:   clonePortSet(s.detached),
-		freePorts:  append([]int(nil), s.freePorts...),
-
-		flooded:      s.flooded,
-		forwarded:    s.forwarded,
-		filtered:     s.filtered,
-		fanoutFloods: s.fanoutFloods,
-		supEther:     s.supEther,
-		supGroup:     s.supGroup,
-		supUnicast:   s.supUnicast,
-	}
-	for m, p := range s.table {
-		sn.table[m] = p
-	}
-	if len(s.groups) > 0 {
-		sn.groups = make(map[MAC]portSet, len(s.groups))
-		for g, ps := range s.groups {
-			sn.groups[g] = clonePortSet(*ps)
-		}
-	}
-	return sn
+	return &SwitchSnapshot{s: s.switchState.clone(), nPorts: len(s.ports), nFilters: len(s.filters)}
 }
 
 // RestoreSnapshot rewinds the switch to a snapshot taken earlier on the
@@ -183,55 +102,14 @@ func (s *Switch) Snapshot() *SwitchSnapshot {
 // their at-snapshot values. Slots that were detached (parked) at
 // snapshot time are uncabled again even if a later tenant reused them.
 func (s *Switch) RestoreSnapshot(sn *SwitchSnapshot) {
-	for i := sn.nPorts; i < len(s.ports); i++ {
-		port := s.ports[i]
-		if port.peer != nil {
+	for i, port := range s.ports {
+		if (i >= sn.nPorts || sn.s.detached.has(i)) && port.peer != nil {
 			port.peer.peer = nil
 			port.peer = nil
 		}
-		s.ports[i] = nil
 	}
+	clear(s.ports[sn.nPorts:])
 	s.ports = s.ports[:sn.nPorts]
 	s.filters = s.filters[:sn.nFilters]
-
-	for i := 0; i < sn.nPorts; i++ {
-		if sn.detached.has(i) {
-			port := s.ports[i]
-			if port.peer != nil {
-				port.peer.peer = nil
-				port.peer = nil
-			}
-		}
-	}
-
-	for m := range s.table {
-		delete(s.table, m)
-	}
-	for m, p := range sn.table {
-		s.table[m] = p
-	}
-	s.restricted = clonePortSet(sn.restricted)
-	s.wantARP = clonePortSet(sn.wantARP)
-	s.wantIPv4 = clonePortSet(sn.wantIPv4)
-	s.wantIPv6 = clonePortSet(sn.wantIPv6)
-	s.trunks = clonePortSet(sn.trunks)
-	s.detached = clonePortSet(sn.detached)
-	s.freePorts = append(s.freePorts[:0], sn.freePorts...)
-	if sn.groups == nil {
-		s.groups = nil
-	} else {
-		s.groups = make(map[MAC]*portSet, len(sn.groups))
-		for g, ps := range sn.groups {
-			cp := clonePortSet(ps)
-			s.groups[g] = &cp
-		}
-	}
-
-	s.flooded = sn.flooded
-	s.forwarded = sn.forwarded
-	s.filtered = sn.filtered
-	s.fanoutFloods = sn.fanoutFloods
-	s.supEther = sn.supEther
-	s.supGroup = sn.supGroup
-	s.supUnicast = sn.supUnicast
+	s.switchState = sn.s.clone()
 }

@@ -27,25 +27,13 @@ func (n *Network) Stopped() bool { return n.stopped }
 // Reset returns the fabric to its just-created state: pending events and
 // timers are dropped, the hot-path counters are zeroed, exhausted arena
 // chunks are recycled, and the virtual clock rewinds to the epoch. NICs
-// remain cabled, but any device state keyed to wall-clock time (leases,
+// remain cabled and the MAC allocator keeps its watermark, but any device state keyed to wall-clock time (leases,
 // NAT sessions, RA lifetimes) is the owner's responsibility — Reset is
 // meant for worlds about to be rebuilt or re-driven from scratch.
 func (n *Network) Reset() {
 	n.stopped = false
 	n.queue = nil
-	n.seq = 0
-	n.frames = 0
-	n.dropped = 0
-	n.queuePeak = 0
-	n.impairLost = 0
-	n.impairDuplicated = 0
-	n.impairReordered = 0
-	n.impairFlapDropped = 0
-	n.fanoutEvents = 0
-	n.fanoutDeliveries = 0
-	n.ringFrames = 0
-	n.ringBatches = 0
-	n.ringOverflows = 0
+	n.netState = netState{macs: n.macs}
 	n.clearRings()
 	n.arena.recycle()
 	n.Clock.reset()

@@ -274,21 +274,6 @@ func TestSwitchInjectAll(t *testing.T) {
 	}
 }
 
-func TestNICStats(t *testing.T) {
-	net := NewNetwork()
-	var cb collector
-	a := net.NewNIC("a", nil)
-	b := net.NewNIC("b", &cb)
-	net.Connect(a, b)
-	a.Transmit(Frame{Dst: b.MAC(), Payload: make([]byte, 100)})
-	net.Run(0)
-	txF, _, txB, _ := a.Stats()
-	_, rxF, _, rxB := b.Stats()
-	if txF != 1 || rxF != 1 || txB != 100 || rxB != 100 {
-		t.Errorf("stats tx=%d/%d rx=%d/%d, want 1/100 both sides", txF, txB, rxF, rxB)
-	}
-}
-
 func TestItoa(t *testing.T) {
 	cases := map[int]string{0: "0", 7: "7", 42: "42", 1234567: "1234567"}
 	for n, want := range cases {

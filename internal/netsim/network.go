@@ -84,19 +84,7 @@ const DefaultLinkLatency = 10 * time.Microsecond
 // structure the work sat in.
 type Network struct {
 	Clock *Clock
-	macs  MACAllocator
-
-	queue     eventQueue
-	seq       uint64
-	frames    uint64 // total frames delivered
-	dropped   uint64 // frames with no peer
-	queuePeak int
-
-	// Fault-injection counters (see Impairment).
-	impairLost        uint64
-	impairDuplicated  uint64
-	impairReordered   uint64
-	impairFlapDropped uint64
+	queue eventQueue
 
 	// stopped marks a fabric that has been shut down with Stop: pending
 	// work is discarded and new scheduling becomes a no-op until Reset.
@@ -108,17 +96,37 @@ type Network struct {
 	// so a flood costs no slice allocation once warmed up.
 	fanoutFree [][]*NIC
 
-	fanoutEvents     uint64 // fan-out events executed
-	fanoutDeliveries uint64 // frames delivered through fan-out events
-
 	// Unicast ring fast path (see ring.go). ringNICs tracks every NIC
 	// that ever allocated a ring so Stop/Reset can clear them; ringsOff
 	// disables the fast path (SetUnicastRings).
-	ringsOff      bool
-	ringNICs      []*NIC
-	ringFrames    uint64 // frames delivered through ring drains
-	ringBatches   uint64 // ring drain events executed
-	ringOverflows uint64 // frames bounced to the legacy path by a full ring
+	ringsOff bool
+	ringNICs []*NIC
+
+	netState
+}
+
+// netState is everything about a Network that world reuse rewinds
+// besides the clock: the MAC allocation watermark, the event sequence
+// counter and the hot-path statistics. Mark and ResetTo copy it whole
+// through clone.
+type netState struct {
+	macs      MACAllocator
+	seq       uint64
+	frames    uint64 // total frames delivered
+	dropped   uint64 // frames with no peer
+	queuePeak int
+
+	// Fault-injection counters (see Impairment).
+	impairLost        uint64
+	impairDuplicated  uint64
+	impairReordered   uint64
+	impairFlapDropped uint64
+
+	fanoutEvents     uint64 // fan-out events executed
+	fanoutDeliveries uint64 // frames delivered through fan-out events
+	ringFrames       uint64 // frames delivered through ring drains
+	ringBatches      uint64 // ring drain events executed
+	ringOverflows    uint64 // frames bounced to the legacy path by a full ring
 }
 
 // event is one pending occurrence on the fabric, ordered by (when, seq).
@@ -456,8 +464,6 @@ func (n *Network) FramesDropped() uint64 { return n.dropped }
 func (n *Network) run(ev event) {
 	if ev.dst != nil {
 		n.frames++
-		ev.dst.rxFrames++
-		ev.dst.rxBytes += uint64(len(ev.frame.Payload))
 		if ev.dst.handler != nil {
 			ev.dst.handler.HandleFrame(ev.dst, ev.frame)
 		}
@@ -465,12 +471,9 @@ func (n *Network) run(ev event) {
 	}
 	if ev.dsts != nil {
 		n.fanoutEvents++
-		size := uint64(len(ev.frame.Payload))
 		for _, dst := range ev.dsts {
 			n.frames++
 			n.fanoutDeliveries++
-			dst.rxFrames++
-			dst.rxBytes += size
 			if dst.handler != nil {
 				dst.handler.HandleFrame(dst, ev.frame)
 			}

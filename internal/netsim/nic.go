@@ -27,11 +27,6 @@ type NIC struct {
 	wantIPv6 bool
 	groups   map[MAC]int
 
-	txFrames uint64
-	rxFrames uint64
-	txBytes  uint64
-	rxBytes  uint64
-
 	// Per-link in-flight frame ring (see ring.go): pristine unicast
 	// frames bound for this NIC queue here instead of the global event
 	// heap, represented there by one drain event. Lazily allocated on
@@ -157,17 +152,11 @@ func (nc *NIC) LeaveGroup(g MAC) {
 	}
 }
 
-// InGroup reports current membership in a multicast MAC group.
-func (nc *NIC) InGroup(g MAC) bool { return nc.groups[g] > 0 }
-
 // Name returns the interface name given at creation.
 func (nc *NIC) Name() string { return nc.name }
 
 // MAC returns the hardware address of the interface.
 func (nc *NIC) MAC() MAC { return nc.mac }
-
-// SetMAC overrides the auto-allocated hardware address.
-func (nc *NIC) SetMAC(m MAC) { nc.mac = m }
 
 // Network returns the fabric this NIC belongs to.
 func (nc *NIC) Network() *Network { return nc.net }
@@ -187,8 +176,6 @@ func (nc *NIC) Transmit(f Frame) {
 	if f.Src.IsZero() {
 		f.Src = nc.mac
 	}
-	nc.txFrames++
-	nc.txBytes += uint64(len(f.Payload))
 	peer := nc.peer
 	if peer == nil {
 		nc.net.dropped++
@@ -212,9 +199,4 @@ func (nc *NIC) Transmit(f Frame) {
 	f.Payload = p
 	f.Shared = false
 	nc.net.scheduleFrameRing(peer, f)
-}
-
-// Stats returns cumulative (txFrames, rxFrames, txBytes, rxBytes).
-func (nc *NIC) Stats() (txFrames, rxFrames, txBytes, rxBytes uint64) {
-	return nc.txFrames, nc.rxFrames, nc.txBytes, nc.rxBytes
 }

@@ -138,8 +138,6 @@ func (n *Network) drainRing(nc *NIC, deadline time.Time, useDeadline bool) {
 		n.Clock.advance(when)
 		n.frames++
 		n.ringFrames++
-		nc.rxFrames++
-		nc.rxBytes += uint64(len(f.Payload))
 		if nc.handler != nil {
 			nc.handler.HandleFrame(nc, f)
 		}

@@ -66,8 +66,23 @@ type Switch struct {
 	name    string
 	net     *Network
 	ports   []*NIC
-	table   map[MAC]int
 	filters []FrameFilter
+	// scopeTrunks makes this switch delimit broadcast domains (see
+	// trunks below).
+	scopeTrunks bool
+	// scratch is the reusable eligibility mask for the flood fast path.
+	scratch []uint64
+
+	switchState
+}
+
+// switchState is everything about a Switch that world reuse rewinds
+// besides the port and filter tables (which only grow, and are
+// truncated by length): the learned MAC table, snooped interest sets,
+// free-slot list and counters. Snapshot and RestoreSnapshot copy it
+// whole through clone.
+type switchState struct {
+	table map[MAC]int
 
 	// Snooped flood-interest state, mirrored from the attached NICs'
 	// declarations. restricted marks ports whose peer opted in to
@@ -89,13 +104,9 @@ type Switch struct {
 	// conversations route through the fabric. freePorts recycles detached
 	// port slots (DetachPort) so a world that materializes and parks
 	// millions of transient hosts keeps a bounded port table.
-	trunks      portSet
-	scopeTrunks bool
-	freePorts   []int
-	detached    portSet
-
-	// scratch is the reusable eligibility mask for the flood fast path.
-	scratch []uint64
+	trunks    portSet
+	freePorts []int
+	detached  portSet
 
 	flooded      uint64
 	forwarded    uint64
@@ -108,7 +119,7 @@ type Switch struct {
 
 // NewSwitch creates a switch with no ports on the given fabric.
 func NewSwitch(net *Network, name string) *Switch {
-	return &Switch{name: name, net: net, table: make(map[MAC]int)}
+	return &Switch{name: name, net: net, switchState: switchState{table: make(map[MAC]int)}}
 }
 
 // Name returns the switch name.
@@ -492,14 +503,11 @@ func (s *Switch) floodMulticast(ingress int, f Frame) {
 	}
 
 	dsts := s.net.takeFanout()
-	size := uint64(len(f.Payload))
 	for w, m := range mask {
 		for m != 0 {
 			i := w<<6 + bits.TrailingZeros64(m)
 			m &= m - 1
 			p := s.ports[i]
-			p.txFrames++
-			p.txBytes += size
 			if p.peer == nil {
 				s.net.dropped++
 				continue

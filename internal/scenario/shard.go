@@ -220,7 +220,7 @@ func runWorlds(worlds []world, workers int, pool *WorldPool, ro RunOptions) (*Re
 				reports[i] = wd.run(tb, wro)
 				if pool != nil {
 					// The report aliases the world's live query logs; the
-					// next checkout's Reset rewinds them, so snapshot first.
+					// next checkout's Reset rewinds them, so detach first.
 					detachLogs(reports[i])
 					pool.Put(wd.key, tb)
 				} else {

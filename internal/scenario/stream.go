@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"repro/internal/dns"
-	"repro/internal/dnswire"
 	"repro/internal/testbed"
 )
 
@@ -66,20 +65,22 @@ func sharedSink(s RowSink) *lockedSink {
 	return &lockedSink{inner: s}
 }
 
-// detachLogs replaces a report's query-log views with standalone copies.
-// Serial runs hand out the world's live QueryLogs; a pooled world's
-// Reset rewinds those same structs, so a report that outlives its
-// world's checkout must snapshot them first.
+// detachLogs points a report at its own QueryLog structs. Serial runs
+// hand out the world's live QueryLogs, and a pooled world's Reset
+// rewrites those structs' Queries fields. Reset moves them onto a fresh
+// backing array rather than appending over the old one, so keeping the
+// current slice header is enough: the questions it covers are never
+// written again.
 func detachLogs(rep *Report) {
-	rep.PoisonLog = snapshotLog(rep.PoisonLog)
-	rep.HealthyLog = snapshotLog(rep.HealthyLog)
+	rep.PoisonLog = detachedLog(rep.PoisonLog)
+	rep.HealthyLog = detachedLog(rep.HealthyLog)
 }
 
-func snapshotLog(l *dns.QueryLog) *dns.QueryLog {
+func detachedLog(l *dns.QueryLog) *dns.QueryLog {
 	if l == nil {
 		return nil
 	}
-	return &dns.QueryLog{Queries: append([]dnswire.Question(nil), l.Queries...)}
+	return &dns.QueryLog{Queries: l.Queries}
 }
 
 // WorldPool reuses built worlds across runs via the testbed

@@ -309,8 +309,11 @@ func TestResetMatchesFreshBuild(t *testing.T) {
 }
 
 // TestWorldPoolReuse pins the pool lifecycle: the first sharded run
-// builds K worlds, the second run with the same pool builds none, and
-// both produce the legacy serial report exactly.
+// builds K worlds, the second run with the same pool builds none, every
+// run produces the legacy serial report exactly, and its merged query
+// logs hold the unpooled sharded run's questions one by one (a report
+// whose logs still aliased a reused world would see the next shard's
+// queries).
 func TestWorldPoolReuse(t *testing.T) {
 	const n = 12
 	const seed = int64(2)
@@ -324,21 +327,31 @@ func TestWorldPoolReuse(t *testing.T) {
 	want := Run(world, devices)
 	world.Close()
 
-	pool := NewWorldPool()
-	defer pool.Close()
 	builds := 0
 	counted := func(int) (*testbed.Testbed, error) {
 		builds++
 		return fac.Build()
 	}
+	opt := ShardOptions{Shards: 4, Workers: 1, Seed: seed}
+	// Each shard world caches its own answers, so its query logs differ
+	// from the serial world's; the unpooled sharded run is the baseline.
+	unpooled, err := RunShardedSized(counted, devices, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	builds = 0
+
+	pool := NewWorldPool()
+	defer pool.Close()
+	opt.Pool = pool
 	for run := 1; run <= 3; run++ {
-		rep, err := RunShardedSized(counted, devices, ShardOptions{
-			Shards: 4, Workers: 1, Seed: seed, Pool: pool,
-		})
+		rep, err := RunShardedSized(counted, devices, opt)
 		if err != nil {
 			t.Fatalf("run %d: %v", run, err)
 		}
 		assertReportsMatch(t, want, rep)
+		assertLogsMatch(t, fmt.Sprintf("run %d PoisonLog", run), unpooled.PoisonLog, rep.PoisonLog)
+		assertLogsMatch(t, fmt.Sprintf("run %d HealthyLog", run), unpooled.HealthyLog, rep.HealthyLog)
 		// All four shards host n/4 = 3 devices, so they share one pool
 		// key; with one worker the first run builds once and reuses.
 		if run == 1 && builds == 0 {
@@ -347,6 +360,20 @@ func TestWorldPoolReuse(t *testing.T) {
 	}
 	if builds > 4 {
 		t.Errorf("3 pooled runs built %d worlds (expected at most one per shard slot)", builds)
+	}
+}
+
+// assertLogsMatch requires two query logs to hold the same questions in
+// the same order.
+func assertLogsMatch(t *testing.T, what string, want, got *dns.QueryLog) {
+	t.Helper()
+	if want.Len() != got.Len() {
+		t.Fatalf("%s: %d questions, want %d", what, got.Len(), want.Len())
+	}
+	for i, q := range want.Queries {
+		if got.Queries[i] != q {
+			t.Fatalf("%s[%d] = %+v, want %+v", what, i, got.Queries[i], q)
+		}
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 
 	"repro/internal/dhcp4"
 	"repro/internal/dns"
+	"repro/internal/dns64"
+	"repro/internal/dnspoison"
 	"repro/internal/dnswire"
 	"repro/internal/gateway5g"
 	"repro/internal/hoststack"
@@ -21,6 +23,18 @@ import (
 // rewinds to it, so a pooled world replays the next run byte-identically
 // to a freshly built one (the Reset-vs-fresh golden digest test pins
 // this).
+//
+// One rule does the rewinding. Each checkpointed component (the netsim
+// Network and switches, hosts, gateway, managed switch, DHCP server, DNS
+// cache and both translators) keeps every field Reset must rewind in one
+// embedded state struct with a clone method that deep-copies its
+// reference-typed fields; Checkpoint stores a clone and Restore assigns
+// a clone back. The fields outside a state struct are either fixed after
+// Build or transient tables Restore empties, truncates or re-arms, and
+// TestRewindFieldAudit fails on any field that is neither classified nor
+// inside a state struct. The three resolvers are plain structs whose
+// maps, slices and funcs are configuration, so Checkpoint copies them by
+// value.
 //
 // The contract is deliberately narrow: Checkpoint must be taken at the
 // quiescent instant right after Build (plus any pathology install),
@@ -55,6 +69,14 @@ type checkpoint struct {
 	healthyLogLen int
 	poisonLogLen  int
 	activePoison  resolverBox
+
+	// The resolvers by value: their counters rewind with the copy, and
+	// their maps, slices, funcs and upstream links are configuration
+	// nothing writes after Build (or after a pathology install), so the
+	// copy may share them.
+	healthy64 dns64.Resolver
+	wildcard  *dnspoison.Wildcard
+	rpz       *dnspoison.RPZ
 }
 
 // Checkpoint captures the world's complete dynamic state at the current
@@ -65,6 +87,12 @@ func (tb *Testbed) Checkpoint() error {
 	if len(tb.Clients) > 0 {
 		return ErrClientsBuilt
 	}
+	tb.cp = tb.capture()
+	return nil
+}
+
+// capture copies the world's dynamic state.
+func (tb *Testbed) capture() *checkpoint {
 	cp := &checkpoint{
 		mark: tb.Net.Mark(),
 
@@ -81,14 +109,23 @@ func (tb *Testbed) Checkpoint() error {
 		healthyLogLen: tb.HealthyLog.Len(),
 		poisonLogLen:  tb.PoisonLog.Len(),
 		activePoison:  tb.poisonSwitch.active.Load().(resolverBox),
+
+		healthy64: *tb.Healthy64,
+	}
+	if tb.Wildcard != nil {
+		w := *tb.Wildcard
+		cp.wildcard = &w
+	}
+	if tb.RPZ != nil {
+		r := *tb.RPZ
+		cp.rpz = &r
 	}
 	if tb.Fabric != nil {
 		for _, asw := range tb.Fabric.Switches {
 			cp.access = append(cp.access, asw.Snapshot())
 		}
 	}
-	tb.cp = cp
-	return nil
+	return cp
 }
 
 // Checkpointed reports whether Checkpoint has captured this world's
@@ -127,6 +164,13 @@ func (tb *Testbed) Reset() error {
 	tb.HealthyLog.Queries = append([]dnswire.Question(nil), tb.HealthyLog.Queries[:cp.healthyLogLen]...)
 	tb.PoisonLog.Queries = append([]dnswire.Question(nil), tb.PoisonLog.Queries[:cp.poisonLogLen]...)
 	tb.poisonSwitch.active.Store(cp.activePoison)
+	*tb.Healthy64 = cp.healthy64
+	if cp.wildcard != nil {
+		*tb.Wildcard = *cp.wildcard
+	}
+	if cp.rpz != nil {
+		*tb.RPZ = *cp.rpz
+	}
 
 	if tb.Fabric != nil {
 		for i, asw := range tb.Fabric.Switches {
