@@ -38,6 +38,13 @@ func fetcher(tb *testbed.Testbed, c int) portal.Fetcher {
 	}
 }
 
+// sizedBuild is the world factory of benchmarks that shard a fixed
+// topology: every world is a fresh testbed.Build of spec, whatever its
+// device count.
+func sizedBuild(spec testbed.Topology) scenario.SizedWorldFactory {
+	return func(int) (*testbed.Testbed, error) { return testbed.Build(spec) }
+}
+
 // quiesce advances virtual time between iterations so NAT sessions,
 // DNS cache entries and closing TCP bindings expire the way they would
 // between real visitors — without it, sustained benchmark load would
@@ -232,7 +239,7 @@ func BenchmarkTableBClientCounting(b *testing.B) {
 	devices := scenario.Population(1, 20, scenario.DefaultMix())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep := scenario.Run(testbed.New(testbed.DefaultOptions()), devices)
+		rep := scenario.RunWith(testbed.New(testbed.DefaultOptions()), devices, scenario.RunOptions{})
 		if rep.Joined != 20 {
 			b.Fatal("population lost")
 		}
@@ -508,16 +515,16 @@ func BenchmarkBroadcastDomain(b *testing.B) {
 func BenchmarkScenarioSharded(b *testing.B) {
 	const n = 1000
 	devices := scenario.Population(1, n, scenario.DefaultMix())
-	fac := testbed.Factory{Spec: testbed.ScaleTopology(testbed.DefaultOptions(), n)}
+	spec := testbed.ScaleTopology(testbed.DefaultOptions(), n)
 
 	b.Run("serial", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			tb, err := fac.Build()
+			tb, err := testbed.Build(spec)
 			if err != nil {
 				b.Fatal(err)
 			}
-			rep := scenario.Run(tb, devices)
+			rep := scenario.RunWith(tb, devices, scenario.RunOptions{})
 			tb.Close()
 			if rep.Joined != n {
 				b.Fatal("population lost")
@@ -527,7 +534,7 @@ func BenchmarkScenarioSharded(b *testing.B) {
 	b.Run("sharded-8", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			rep, err := scenario.RunSharded(fac.Build, devices, scenario.ShardOptions{Shards: 8, Seed: 1})
+			rep, err := scenario.RunShardedSized(sizedBuild(spec), devices, scenario.ShardOptions{Shards: 8, Seed: 1})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -613,7 +620,7 @@ func BenchmarkHeavyTraffic(b *testing.B) {
 
 	const devs = 24
 	devices := scenario.Population(1, devs, scenario.DefaultMix())
-	fac := testbed.Factory{Spec: testbed.ScaleTopology(testbed.DefaultOptions(), devs)}
+	spec := testbed.ScaleTopology(testbed.DefaultOptions(), devs)
 	traffic := &scenario.TrafficOptions{
 		FlowsPerDevice: 8,
 		FlowBytes:      12 << 10,
@@ -624,7 +631,7 @@ func BenchmarkHeavyTraffic(b *testing.B) {
 		b.ReportAllocs()
 		total := 0
 		for i := 0; i < b.N; i++ {
-			tb, err := fac.Build()
+			tb, err := testbed.Build(spec)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -749,15 +756,14 @@ func BenchmarkChaos(b *testing.B) {
 	b.ReportAllocs()
 	const n = 64
 	devices := scenario.Population(1, n, scenario.DefaultMix())
-	spec := scenario.ChaosSpec(1, n, 0, 0.10, 0)
-	fac := testbed.Factory{Spec: spec}
+	spec := scenario.ChaosSpec(1, n, 0, 0.10)
 	opt := scenario.ShardOptions{
 		Shards: 4, Seed: 1,
-		Run: scenario.RunOptions{RebootsPerDevice: 1, ConvergeTimeout: 30 * time.Second},
+		Run: scenario.RunOptions{RebootsPerDevice: 1},
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep, err := scenario.RunSharded(fac.Build, devices, opt)
+		rep, err := scenario.RunShardedSized(sizedBuild(spec), devices, opt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -865,8 +871,7 @@ func BenchmarkMillionScenario(b *testing.B) {
 func BenchmarkWorldPoolSweep(b *testing.B) {
 	const n = 16
 	devices := scenario.Population(1, n, scenario.DefaultMix())
-	fac := testbed.Factory{Spec: testbed.ScaleTopology(testbed.DefaultOptions(), n)}
-	sized := func(int) (*testbed.Testbed, error) { return fac.Build() }
+	sized := sizedBuild(testbed.ScaleTopology(testbed.DefaultOptions(), n))
 	cell := func(pool *scenario.WorldPool) error {
 		rep, err := scenario.RunShardedSized(sized, devices, scenario.ShardOptions{
 			Shards: 16, Workers: 1, Seed: 1, Pool: pool,

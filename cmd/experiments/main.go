@@ -176,7 +176,7 @@ func fig2() {
 		{Name: "attendee1", Profile: profiles.MacOS()},
 		{Name: "attendee2", Profile: profiles.IOS()},
 	}
-	rep := scenario.Run(tb, devices)
+	rep := scenario.RunWith(tb, devices, scenario.RunOptions{})
 	for _, d := range rep.Devices {
 		fmt.Printf("measured: %-12s class=%-10s internet=%v informed=%v\n",
 			d.Spec.Name, d.Class, d.Internet, d.Informed)
@@ -380,8 +380,8 @@ func tabB() {
 
 	optBase := testbed.DefaultOptions()
 	optBase.Poison = testbed.PoisonOff
-	base := scenario.Run(testbed.New(optBase), devices)
-	sc24 := scenario.Run(testbed.New(testbed.DefaultOptions()), devices)
+	base := scenario.RunWith(testbed.New(optBase), devices, scenario.RunOptions{})
+	sc24 := scenario.RunWith(testbed.New(testbed.DefaultOptions()), devices, scenario.RunOptions{})
 
 	fmt.Printf("measured: %-8s joined=%-3d informed=%-3d internet=%-3d reported=%-3d true-v6only=%-3d overcount=%d\n",
 		"SC23", base.Joined, base.Informed, base.InternetOK, base.ReportedSSIDClients, base.TrueIPv6Only, base.Overcount)
@@ -445,7 +445,7 @@ func tabC() {
 	}{{"SC23", testbed.PoisonOff}, {"SC24", testbed.PoisonWildcard}} {
 		opt := testbed.DefaultOptions()
 		opt.Poison = pol.poison
-		rep := scenario.Run(testbed.New(opt), devices)
+		rep := scenario.RunWith(testbed.New(opt), devices, scenario.RunOptions{})
 		fmt.Printf("measured: %-5s nat44-log-entries=%-4d nat64-sessions=%-4d internet=%d/%d\n",
 			pol.name, rep.NAT44LogEntries, rep.NAT64Sessions, rep.InternetOK, rep.Joined)
 	}
@@ -460,7 +460,7 @@ func tabD() {
 	for _, frac := range []float64{0, 0.25, 0.5, 0.75, 1} {
 		devices := scenario.Population(2, 40, scenario.AdoptionMix(frac))
 		tb := testbed.New(testbed.DefaultOptions())
-		rep := scenario.Run(tb, devices)
+		rep := scenario.RunWith(tb, devices, scenario.RunOptions{})
 		fmt.Printf("measured: refreshed=%3.0f%%  overcount=%-3d poisoned-queries=%-4d informed=%-2d internet=%d/%d\n",
 			frac*100, rep.Overcount, len(tb.PoisonLog.Queries), rep.Informed, rep.InternetOK, rep.Joined)
 	}
@@ -471,20 +471,21 @@ func scale() {
 	fmt.Println("        independent worlds must produce identical reports (see DESIGN.md §3a)")
 	const n = 240
 	devices := scenario.Population(1, n, scenario.DefaultMix())
-	fac := testbed.Factory{Spec: testbed.ScaleTopology(testbed.DefaultOptions(), n)}
+	spec := testbed.ScaleTopology(testbed.DefaultOptions(), n)
 
-	world, err := fac.Build()
+	world, err := testbed.Build(spec)
 	if err != nil {
 		fmt.Printf("measured: build error %v\n", err)
 		return
 	}
 	start := time.Now()
-	serial := scenario.Run(world, devices)
+	serial := scenario.RunWith(world, devices, scenario.RunOptions{})
 	serialTook := time.Since(start)
 	world.Close()
 
 	start = time.Now()
-	sharded, err := scenario.RunSharded(fac.Build, devices, scenario.ShardOptions{Shards: 8, Seed: 1})
+	build := func(int) (*testbed.Testbed, error) { return testbed.Build(spec) }
+	sharded, err := scenario.RunShardedSized(build, devices, scenario.ShardOptions{Shards: 8, Seed: 1})
 	if err != nil {
 		fmt.Printf("measured: sharded run error %v\n", err)
 		return
@@ -553,18 +554,26 @@ func chaos() {
 	fmt.Println("engine: sweep the loss × gateway-reboot grid over impaired worlds; every value")
 	fmt.Println("        is a counter or virtual-clock duration, so this output is deterministic")
 	fmt.Println("        and documented verbatim in EXPERIMENTS.md §chaos")
-	m, err := scenario.ChaosSweep(scenario.ChaosConfig{Seed: 1, N: 24, Shards: 4})
-	if err != nil {
-		fmt.Printf("measured: chaos sweep error %v\n", err)
-		return
-	}
-	fmt.Print(m.String())
-	fmt.Println()
-	fmt.Println("per-class re-convergence after gateway reboots:")
-	fmt.Print(m.ClassBreakdown())
+	fmt.Print(chaosBlock())
 	fmt.Println("shape: loss hurts the v4-only tail first (DHCP retransmission vs RA beacons);")
 	fmt.Println("       churned devices that had internet re-converge within the RA/DHCP retry")
 	fmt.Println("       budget, and the renumbered prefix never strands an RFC 4862 host")
+}
+
+// chaosBlock is the chaos experiment's matrix, pinned verbatim in
+// EXPERIMENTS.md §chaos.
+func chaosBlock() string {
+	cells, err := scenario.Sweep(scenario.Grid{
+		Seed:         1,
+		Populations:  []int{24},
+		Shards:       []int{4},
+		LossLevels:   []float64{0, 0.10, 0.30},
+		RebootLevels: []int{0, 1, 2},
+	}, nil)
+	if err != nil {
+		return fmt.Sprintf("measured: chaos sweep error %v\n", err)
+	}
+	return degradationMatrix(1, cells)
 }
 
 func traffic() {
@@ -574,20 +583,18 @@ func traffic() {
 	fmt.Println("        464XLAT, NAT44 for legacy v4. Counters are deterministic (seed 1).")
 	const n = 24
 	devices := scenario.Population(1, n, scenario.DefaultMix())
-	fac := testbed.Factory{Spec: testbed.ScaleTopology(testbed.DefaultOptions(), n)}
 	opt := scenario.RunOptions{Traffic: &scenario.TrafficOptions{
 		FlowsPerDevice: 4,
 		FlowBytes:      32 << 10,
 		Pace:           2 * time.Millisecond,
 		ChurnFlows:     1,
 	}}
-	world, err := fac.Build()
+	fac := pathology.FactorySized(testbed.ScaleTopology(testbed.DefaultOptions(), n), pathology.None)
+	rep, err := scenario.RunShardedSized(fac, devices, scenario.ShardOptions{Seed: 1, Run: opt})
 	if err != nil {
-		fmt.Printf("measured: build error %v\n", err)
+		fmt.Printf("measured: run error %v\n", err)
 		return
 	}
-	rep := scenario.RunWith(world, devices, opt)
-	world.Close()
 	fmt.Print("measured: " + strings.ReplaceAll(rep.Traffic.String(), "\n", "\n          "))
 	fmt.Println()
 	classes := make([]metrics.Class, 0, len(rep.Traffic.PerClass))
@@ -613,31 +620,33 @@ func pathologyExp() {
 	fmt.Println("engine: install each registered DNS/NAT64/delegation failure mode into fresh")
 	fmt.Println("        worlds and sweep the default population across it; every cell is a")
 	fmt.Println("        deterministic sharded run, documented verbatim in EXPERIMENTS.md §bench6")
-	m, err := scenario.PathologySweep(scenario.PathologyConfig{Seed: 1, N: 24, Shards: 4})
-	if err != nil {
-		fmt.Printf("measured: pathology sweep error %v\n", err)
-		return
-	}
-	fmt.Print(m.String())
-	fmt.Println()
-	fmt.Println("mirror fingerprints (ScoreFixed points per canonical profile, PATHOLOGIES.md):")
-	fingerprintTable()
+	fmt.Print(pathologyBlock())
 	fmt.Println("shape: checksum corruption guts ordinary browsing; v4-path interference and the")
 	fmt.Println("       mismatched DNS64 prefix only flip the v4-DNS-preferring tail onto the")
 	fmt.Println("       intervention page; delegation and PTB failures are invisible to plain page")
 	fmt.Println("       fetches — only the mirror's probe suite (the fingerprint) exposes them")
 }
 
-func fingerprintTable() {
-	fmt.Printf("measured: %-26s %-13s %s\n", "pathology", "mac/W10/W11/XP/NSw/v6Lnx", "codes")
+// pathologyBlock is the pathology × profile matrix and the mirror
+// fingerprints, pinned verbatim in EXPERIMENTS.md §bench6.
+func pathologyBlock() string {
+	cells, err := scenario.Sweep(scenario.Grid{Seed: 1, Shards: []int{4}, Pathologies: pathology.Names()}, nil)
+	if err != nil {
+		return fmt.Sprintf("measured: pathology sweep error %v\n", err)
+	}
+	var b strings.Builder
+	b.WriteString(pathologyMatrix(1, cells))
+	b.WriteString("\nmirror fingerprints (ScoreFixed points per canonical profile, PATHOLOGIES.md):\n")
+	fmt.Fprintf(&b, "measured: %-26s %-13s %s\n", "pathology", "mac/W10/W11/XP/NSw/v6Lnx", "codes")
 	for _, name := range pathology.Names() {
 		f, err := pathology.Compute(name)
 		if err != nil {
-			fmt.Printf("measured: %-26s error %v\n", name, err)
+			fmt.Fprintf(&b, "measured: %-26s error %v\n", name, err)
 			continue
 		}
-		fmt.Printf("measured: %-26s %-13s %s\n", name, f.String(), strings.Join(f.Codes[:], " "))
+		fmt.Fprintf(&b, "measured: %-26s %-13s %s\n", name, f.String(), strings.Join(f.Codes[:], " "))
 	}
+	return b.String()
 }
 
 func pathologyDetail(name string) {
@@ -683,13 +692,18 @@ func pathologyDetail(name string) {
 	fmt.Printf("measured: decoder maps the vector back to %q\n", decoded)
 }
 
-func statefulExp() {
-	fmt.Println("engine: arm each stateful pathology on the canonical probe windows (onset 60s,")
-	fmt.Println("        active 120s, registered flap pattern kept) and fingerprint the same")
-	fmt.Println("        client before onset, mid-failure and after recovery; then run the")
-	fmt.Println("        budgeted port-pool exhaustion under the heavy-traffic workload serial")
-	fmt.Println("        vs sharded to show the pro-rata split keeps the merge exact")
-	fmt.Printf("measured: %-22s %-14s %-14s %s\n", "pathology", "pre-onset", "active", "recovered")
+func statefulExp() { fmt.Print(statefulBlock()) }
+
+// statefulBlock is the stateful experiment's whole output, pinned
+// verbatim (under its "== stateful" header) in EXPERIMENTS.md §bench7.
+func statefulBlock() string {
+	var b strings.Builder
+	fmt.Fprintln(&b, "engine: arm each stateful pathology on the canonical probe windows (onset 60s,")
+	fmt.Fprintln(&b, "        active 120s, registered flap pattern kept) and fingerprint the same")
+	fmt.Fprintln(&b, "        client before onset, mid-failure and after recovery; then run the")
+	fmt.Fprintln(&b, "        budgeted port-pool exhaustion under the heavy-traffic workload serial")
+	fmt.Fprintln(&b, "        vs sharded to show the pro-rata split keeps the merge exact")
+	fmt.Fprintf(&b, "measured: %-22s %-14s %-14s %s\n", "pathology", "pre-onset", "active", "recovered")
 	for _, name := range pathology.Names() {
 		p, _ := pathology.Get(name)
 		if !p.Stateful() {
@@ -697,16 +711,15 @@ func statefulExp() {
 		}
 		tl, err := pathology.ComputeTimeline(name)
 		if err != nil {
-			fmt.Printf("measured: %-22s timeline error %v\n", name, err)
+			fmt.Fprintf(&b, "measured: %-22s timeline error %v\n", name, err)
 			continue
 		}
-		fmt.Printf("measured: %-22s %-14s %-14s %s\n", name, tl.PreOnset, tl.Active, tl.Recovered)
+		fmt.Fprintf(&b, "measured: %-22s %-14s %-14s %s\n", name, tl.PreOnset, tl.Active, tl.Recovered)
 	}
 
 	const n = 24
 	devices := scenario.Population(1, n, scenario.DefaultMix())
-	base := testbed.Factory{Spec: testbed.ScaleTopology(testbed.DefaultOptions(), n)}.Build
-	fac := pathology.FactorySized(base, "nat64-port-exhaustion")
+	fac := pathology.FactorySized(testbed.ScaleTopology(testbed.DefaultOptions(), n), "nat64-port-exhaustion")
 	run := scenario.RunOptions{Traffic: &scenario.TrafficOptions{
 		FlowsPerDevice: 4,
 		FlowBytes:      32 << 10,
@@ -715,16 +728,16 @@ func statefulExp() {
 	}}
 	serial, err := scenario.RunShardedSized(fac, devices, scenario.ShardOptions{Shards: 1, Seed: 1, Run: run})
 	if err != nil {
-		fmt.Printf("measured: serial run error %v\n", err)
-		return
+		fmt.Fprintf(&b, "measured: serial run error %v\n", err)
+		return b.String()
 	}
 	sharded, err := scenario.RunShardedSized(fac, devices, scenario.ShardOptions{Shards: 4, Seed: 1, Run: run})
 	if err != nil {
-		fmt.Printf("measured: sharded run error %v\n", err)
-		return
+		fmt.Fprintf(&b, "measured: sharded run error %v\n", err)
+		return b.String()
 	}
 	line := func(tag string, r *scenario.Report) {
-		fmt.Printf("measured: %-7s internet=%-2d informed=%-2d nat64-sessions=%-3d ports-exhausted=%-4d flows completed=%d aborted=%d\n",
+		fmt.Fprintf(&b, "measured: %-7s internet=%-2d informed=%-2d nat64-sessions=%-3d ports-exhausted=%-4d flows completed=%d aborted=%d\n",
 			tag, r.InternetOK, r.Informed, r.NAT64Sessions,
 			r.Traffic.Gateway.NAT64PortsExhausted, r.Traffic.Flows.Completed, r.Traffic.Flows.Aborted)
 	}
@@ -734,10 +747,11 @@ func statefulExp() {
 		serial.NAT64Sessions == sharded.NAT64Sessions &&
 		serial.Traffic.Gateway.NAT64PortsExhausted == sharded.Traffic.Gateway.NAT64PortsExhausted &&
 		serial.Traffic.Flows == sharded.Traffic.Flows
-	fmt.Printf("measured: serial == sharded: %v\n", match)
-	fmt.Println("shape: the quota bites hardest on parallel probe bursts; refused flows get the")
-	fmt.Println("       RFC 6146 ICMPv6 unreachable and fail fast, and every counter above folds")
-	fmt.Println("       shard-exactly because each world's port pool is quota × its own devices")
+	fmt.Fprintf(&b, "measured: serial == sharded: %v\n", match)
+	fmt.Fprintln(&b, "shape: the quota bites hardest on parallel probe bursts; refused flows get the")
+	fmt.Fprintln(&b, "       RFC 6146 ICMPv6 unreachable and fail fast, and every counter above folds")
+	fmt.Fprintln(&b, "       shard-exactly because each world's port pool is quota × its own devices")
+	return b.String()
 }
 
 func firstLine(b []byte) string {

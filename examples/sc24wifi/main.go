@@ -30,15 +30,16 @@ func main() {
 			// Sharded runs use the scale topology (wide pools, long
 			// lifetimes) so device outcomes are position-independent and
 			// the merged report matches a serial run of the same seed.
-			fac := testbed.Factory{Spec: testbed.ScaleTopology(opt, *n)}
-			rep, err := scenario.RunSharded(fac.Build, devices,
+			spec := testbed.ScaleTopology(opt, *n)
+			build := func(int) (*testbed.Testbed, error) { return testbed.Build(spec) }
+			rep, err := scenario.RunShardedSized(build, devices,
 				scenario.ShardOptions{Shards: *shards, Seed: *seed})
 			if err != nil {
 				log.Fatalf("sharded run: %v", err)
 			}
 			return rep
 		}
-		return scenario.Run(testbed.New(opt), devices)
+		return scenario.RunWith(testbed.New(opt), devices, scenario.RunOptions{})
 	}
 
 	base := run(optBase)

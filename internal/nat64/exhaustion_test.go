@@ -203,6 +203,65 @@ func TestPortReuseAvoidanceProperty(t *testing.T) {
 	}
 }
 
+// TestLiveSessionsKeepBindingsProperty: across random flows, clock
+// jumps and flushes over a 3-port pool, no live session ever loses its
+// outbound binding or its inbound entry. The cursor wraps every third
+// allocation, so it keeps landing on ports whose expired session was
+// already replaced: a flow that resumed after expiry got a new port,
+// and reclaiming its old port must not unbind the resumed session.
+func TestLiveSessionsKeepBindingsProperty(t *testing.T) {
+	f := func(ops []uint8) bool {
+		clk := newClock()
+		tr, err := New(Config{
+			Prefix: dns64.WellKnownPrefix, PublicV4: publicV4,
+			PortMin: 40000, PortMax: 40002,
+		}, clk.now)
+		if err != nil {
+			return false
+		}
+		if len(ops) > 48 {
+			ops = ops[:48]
+		}
+		bound := make(map[mapKey]*Session) // sessions handed out since the last flush
+		for _, op := range ops {
+			switch op % 8 {
+			case 5:
+				clk.t = clk.t.Add(time.Second)
+			case 6:
+				clk.t = clk.t.Add(DefaultUDPTimeout + time.Second)
+			case 7:
+				tr.FlushSessions()
+				clear(bound)
+			default:
+				sport := 5000 + uint16(op>>3)%4
+				_, err := tr.TranslateV6ToV4(udp6ForProp(clientV6, sport))
+				if errors.Is(err, ErrPortsExhausted) {
+					continue
+				}
+				if err != nil {
+					return false
+				}
+				k := mapKey{proto: packet.ProtoUDP, src: clientV6, port: sport}
+				bound[k] = tr.outbound[k]
+			}
+			now := clk.now()
+			for k, s := range bound {
+				if tr.expired(s, now) {
+					delete(bound, k)
+					continue
+				}
+				if tr.outbound[k] != s || tr.inbound[extKey{proto: s.Proto, port: s.ExtPort}] != s {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
 // extPortOf extracts the external source port the translator stamped on
 // an outbound UDP packet.
 func extPortOf(t *testing.T, out *packet.IPv4) uint16 {

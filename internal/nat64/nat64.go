@@ -302,8 +302,14 @@ func (t *Translator) allocPort(proto uint8) (uint16, error) {
 		}
 		k := extKey{proto: proto, port: p}
 		if s, ok := t.inbound[k]; !ok || t.expired(s, t.now()) {
+			// Reclaim the stale binding only if its flow still maps to
+			// it: a flow that resumed after expiry was rebound to a new
+			// port, and that live session must keep its binding.
 			if s != nil {
-				delete(t.outbound, mapKey{proto: s.Proto, src: s.SrcV6, port: s.SrcPort})
+				key := mapKey{proto: s.Proto, src: s.SrcV6, port: s.SrcPort}
+				if t.outbound[key] == s {
+					delete(t.outbound, key)
+				}
 			}
 			return p, nil
 		}

@@ -97,10 +97,10 @@ type Pathology struct {
 	ScheduleDoc string
 
 	// Budget, when set, sizes shared-resource pools to the world's
-	// device count: scenario.RunSharded and RunFabric call it with each
-	// shard world's own device count, so a global pool (the NAT64
-	// external-port pool) is split pro rata and serial ≡ sharded holds
-	// even for a capacity-driven failure mode.
+	// device count: FactorySized calls it with each shard world's own
+	// device count (scenario.RunShardedSized passes it), so a global pool
+	// (the NAT64 external-port pool) is split pro rata and serial ≡
+	// sharded holds even for a capacity-driven failure mode.
 	Budget func(tb *testbed.Testbed, devices int) error
 }
 
@@ -234,16 +234,16 @@ func installWith(tb *testbed.Testbed, p Pathology, sched Schedule) error {
 	return p.InstallGated(tb, gate)
 }
 
-// FactorySized wraps a world factory so every world it builds comes up
-// with the named pathology installed. The returned factory takes the
+// FactorySized returns a factory of worlds built from spec, each
+// coming up with the named pathology installed. The factory takes the
 // number of devices the world will run and forwards it to the
 // pathology's Budget, so scenario.RunShardedSized can split a global
 // resource pool across shard worlds pro rata. The result is assignable
 // to scenario.SizedWorldFactory, which is how a pathology rides through
 // the scenario engine without this package importing it.
-func FactorySized(base func() (*testbed.Testbed, error), name string) func(devices int) (*testbed.Testbed, error) {
+func FactorySized(spec testbed.Topology, name string) func(devices int) (*testbed.Testbed, error) {
 	return func(devices int) (*testbed.Testbed, error) {
-		tb, err := base()
+		tb, err := testbed.Build(spec)
 		if err != nil {
 			return nil, err
 		}

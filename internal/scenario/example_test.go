@@ -2,7 +2,6 @@ package scenario_test
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/netsim"
 	"repro/internal/scenario"
@@ -12,7 +11,7 @@ import (
 // Shard a churned, impaired population across two worlds. The merged
 // report's aggregates are byte-identical to a serial run's: shard seeds
 // and per-client impairment streams derive from names, not positions.
-func ExampleRunSharded() {
+func ExampleRunShardedSized() {
 	const seed, n = 7, 8
 	devices := scenario.Population(seed, n, scenario.DefaultMix())
 
@@ -20,13 +19,11 @@ func ExampleRunSharded() {
 	spec.Impair = netsim.Impairment{Loss: 0.10}
 	spec.ChaosSeed = uint64(seed)
 
-	rep, err := scenario.RunSharded(testbed.Factory{Spec: spec}.Build, devices, scenario.ShardOptions{
+	build := func(int) (*testbed.Testbed, error) { return testbed.Build(spec) }
+	rep, err := scenario.RunShardedSized(build, devices, scenario.ShardOptions{
 		Shards: 2,
 		Seed:   seed,
-		Run: scenario.RunOptions{
-			RebootsPerDevice: 1,
-			ConvergeTimeout:  30 * time.Second,
-		},
+		Run:    scenario.RunOptions{RebootsPerDevice: 1},
 	})
 	if err != nil {
 		fmt.Println(err)

@@ -101,7 +101,7 @@ func runFabricWorld(tb *testbed.Testbed, opt FabricOptions, ro RunOptions) *Repo
 // subtree world and run by the execution engine. Pooled worlds are
 // keyed by group index, so a serial run checks out key 0. On the
 // position-independent FabricTopology the merged report equals the
-// serial run's exactly — the same contract RunSharded has on flat
+// serial run's exactly — the same contract RunShardedSized has on flat
 // worlds, with the partition following the fabric's own structure.
 func RunFabric(full testbed.Topology, opt FabricOptions) (*Report, error) {
 	if !full.Fabric.Enabled() {

@@ -70,7 +70,6 @@ func TestParsedViewsDoNotOutliveHandlers(t *testing.T) {
 		{name: "flat"},
 		{name: "traffic-churn", run: RunOptions{
 			RebootsPerDevice: 1,
-			ConvergeTimeout:  30 * time.Second,
 			Traffic: &TrafficOptions{
 				FlowsPerDevice: 2,
 				FlowBytes:      16 << 10,
@@ -79,12 +78,12 @@ func TestParsedViewsDoNotOutliveHandlers(t *testing.T) {
 			},
 		}},
 	}
-	fac := testbed.Factory{Spec: testbed.ScaleTopology(testbed.DefaultOptions(), n)}
+	spec := testbed.ScaleTopology(testbed.DefaultOptions(), n)
 	devices := Population(3, n, DefaultMix())
 	for _, reg := range regimes {
 		t.Run(reg.name, func(t *testing.T) {
 			run := func(scribble bool) (report, frames string) {
-				tb, err := fac.Build()
+				tb, err := testbed.Build(spec)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -3,7 +3,6 @@ package scenario
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"repro/internal/testbed"
 )
@@ -21,12 +20,12 @@ import (
 // would only ever stall.)
 func TestRingShardedMatchesSerialUnderImpairment(t *testing.T) {
 	const n = 10
-	opt := RunOptions{RebootsPerDevice: 1, ConvergeTimeout: 30 * time.Second}
+	opt := RunOptions{RebootsPerDevice: 1}
 	for seed := int64(1); seed <= 5; seed++ {
 		devices := Population(seed, n, DefaultMix())
-		fac := testbed.Factory{Spec: ChaosSpec(seed, n, 0, 0.10, 0)}
+		spec := ChaosSpec(seed, n, 0, 0.10)
 
-		world, err := fac.Build()
+		world, err := testbed.Build(spec)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -40,7 +39,7 @@ func TestRingShardedMatchesSerialUnderImpairment(t *testing.T) {
 		}
 
 		t.Run(fmt.Sprintf("seed%d/rings-off", seed), func(t *testing.T) {
-			w, err := fac.Build()
+			w, err := testbed.Build(spec)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -56,7 +55,7 @@ func TestRingShardedMatchesSerialUnderImpairment(t *testing.T) {
 
 		for _, k := range []int{2, 8} {
 			t.Run(fmt.Sprintf("seed%d/k%d", seed, k), func(t *testing.T) {
-				sharded, err := RunSharded(fac.Build, devices, ShardOptions{
+				sharded, err := RunShardedSized(sized(spec), devices, ShardOptions{
 					Shards: k, Seed: seed, Run: opt,
 				})
 				if err != nil {

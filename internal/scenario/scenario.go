@@ -6,20 +6,19 @@
 // intervention, and how IPv4-literal applications (Fig. 2's Echolink
 // station) pollute the statistic either way.
 //
-// Run brings a population up serially on one given world. Everything
-// else goes through one execution engine: RunSharded splits a flat
-// population across K independently built worlds (a testbed.Factory
-// supplies them), RunFabric splits a fabric's access switches into K
-// subtree worlds, and both hand their worlds to the same worker pool,
-// WorldPool checkout and MergeReports fold — on a position-independent
-// topology the merged aggregates equal the serial run's exactly, which
-// the tests pin byte for byte. RunOptions layers fault injection on
-// every run: per-device gateway reboots with re-convergence probing,
-// over link impairment carried by the world's topology spec. ChaosSweep
-// drives the full loss × churn grid and renders the outcome as a
-// DegradationMatrix whose String output contains only counters and
-// virtual-clock durations, so the chaos experiment's text is
-// reproducible verbatim.
+// There are three ways to run a population. RunWith brings it up
+// serially on one given world. RunShardedSized splits a flat
+// population across K independently built worlds, and RunFabric splits
+// a fabric's access switches into K subtree worlds; both hand their
+// worlds to the same worker pool, WorldPool checkout and MergeReports
+// fold. On a position-independent topology the merged aggregates equal
+// the serial run's exactly, which the tests pin byte for byte.
+// RunOptions layers fault injection on every run: per-device gateway
+// reboots with re-convergence probing, over link impairment carried by
+// the world's topology spec. Sweep walks a Grid of such runs — loss
+// levels, pathologies, shard counts, reboot levels, repeats — and is
+// the one engine behind the chaos and pathology matrices and the
+// experiments.json grid.
 package scenario
 
 import (
@@ -129,7 +128,7 @@ type DeviceResult struct {
 	// devices whose initial workload had a definitive outcome).
 	Churned bool
 	// Reconverged reports whether the device re-established a working
-	// outcome after the reboot storm within ConvergeTimeout.
+	// outcome within 60 virtual seconds of the reboot storm.
 	Reconverged bool
 	// ConvergeTime is the virtual time from the last reboot until the
 	// device's workload succeeded again (meaningful when Reconverged).
@@ -185,7 +184,7 @@ type Report struct {
 
 	// Profiles tallies devices and internet-ok outcomes per client
 	// profile name. Always populated, so profile-resolved matrices (the
-	// pathology sweep's String) render without the Devices slice.
+	// pathology × profile matrix) render without the Devices slice.
 	Profiles map[string]ProfileCount
 
 	// PoisonedQueries / HealthyQueries are the lengths of the two DNS
@@ -198,8 +197,8 @@ type Report struct {
 	HealthyQueries  int
 
 	// PoisonLog / HealthyLog hold the query logs backing those counters:
-	// the live testbed logs after a serial Run, shard-major merged
-	// copies after RunSharded.
+	// the live testbed logs after RunWith, shard-major merged copies
+	// after RunShardedSized and RunFabric, nil in Sweep's cells.
 	PoisonLog  *dns.QueryLog
 	HealthyLog *dns.QueryLog
 
@@ -215,8 +214,8 @@ type Report struct {
 	Traffic *TrafficReport
 
 	// Shards describes how the run was partitioned: one entry per world
-	// for RunSharded, RunShardedSized and RunFabric (a single entry when
-	// they run serially), nil for Run and RunWith.
+	// for RunShardedSized and RunFabric (a single entry when they run
+	// serially), nil for RunWith.
 	Shards []ShardInfo
 }
 
@@ -233,8 +232,8 @@ type ClassConvergence struct {
 	TotalTime time.Duration
 }
 
-// RunOptions parameterizes a chaos run. The zero value reproduces the
-// classic Run behaviour exactly.
+// RunOptions parameterizes a chaos run. The zero value runs the classic
+// workload: join, one browse, no faults.
 type RunOptions struct {
 	// RebootsPerDevice injects that many gateway reboots after each
 	// device's workload, then probes until the device re-establishes a
@@ -243,9 +242,6 @@ type RunOptions struct {
 	// reboots on its own devices — aggregates to the same report as the
 	// serial run (see testbed.ChurnSpec for the absolute-time variant).
 	RebootsPerDevice int
-	// ConvergeTimeout bounds the virtual time a device is given to
-	// re-converge after the reboot storm (default 60s).
-	ConvergeTimeout time.Duration
 	// Traffic, when non-nil, layers the heavy streaming workload on top
 	// of the connectivity check: devices with working internet stream
 	// CDN flows with per-flow byte accounting (see TrafficOptions).
@@ -266,9 +262,9 @@ type RunOptions struct {
 	rowShard int
 }
 
-// DefaultConvergeTimeout bounds post-reboot probing when
-// RunOptions.ConvergeTimeout is zero.
-const DefaultConvergeTimeout = 60 * time.Second
+// convergeTimeout bounds the virtual time a churned device is given to
+// re-converge after its reboot storm.
+const convergeTimeout = 60 * time.Second
 
 // beaconPhase is the period of the world's unsolicited RA beacons (the
 // gateway's and the managed switch's, both 10s by default). Chaos runs
@@ -298,12 +294,6 @@ func alignToBeaconPhase(tb *testbed.Testbed) {
 	}
 }
 
-// Run executes the workload for each device on a fresh client attached
-// to tb and returns the aggregate report.
-func Run(tb *testbed.Testbed, devices []DeviceSpec) *Report {
-	return RunWith(tb, devices, RunOptions{})
-}
-
 // attempt runs one device workload pass and reports the outcome.
 func attempt(c *hoststack.Host, spec DeviceSpec) (informed, internet, usedV6 bool) {
 	if spec.EcholinkOnly {
@@ -326,7 +316,7 @@ func attempt(c *hoststack.Host, spec DeviceSpec) (informed, internet, usedV6 boo
 // report. With churn enabled each trial is: join → workload → sample
 // translator-state deltas → RebootsPerDevice gateway reboots →
 // re-converge probe (repeat the workload with exponential virtual
-// backoff until it succeeds or ConvergeTimeout lapses) → cleanup
+// backoff until it succeeds or 60 virtual seconds lapse) → cleanup
 // reboots that flush translator state and realign the GUA rotation, so
 // the next device starts from the same world conditions regardless of
 // which shard or position it runs in.
@@ -348,13 +338,12 @@ func RunWith(tb *testbed.Testbed, devices []DeviceSpec, opt RunOptions) *Report 
 // and the report under construction; only how a device joins the world
 // differs, which runTrial takes as a closure.
 type trialRunner struct {
-	tb              *testbed.Testbed
-	mon             *metrics.SSIDMonitor
-	opt             RunOptions
-	churn           bool
-	align           bool
-	convergeTimeout time.Duration
-	rep             *Report
+	tb    *testbed.Testbed
+	mon   *metrics.SSIDMonitor
+	opt   RunOptions
+	churn bool
+	align bool
+	rep   *Report
 
 	// rows counts emitted trials (the Index of the next streamed Row).
 	rows int
@@ -374,10 +363,6 @@ func newTrialRunner(tb *testbed.Testbed, opt RunOptions) *trialRunner {
 	tb.Switch.AddFilter(mon.Filter())
 
 	churn := opt.RebootsPerDevice > 0
-	convergeTimeout := opt.ConvergeTimeout
-	if convergeTimeout <= 0 {
-		convergeTimeout = DefaultConvergeTimeout
-	}
 	r := &trialRunner{
 		tb:    tb,
 		mon:   mon,
@@ -386,8 +371,7 @@ func newTrialRunner(tb *testbed.Testbed, opt RunOptions) *trialRunner {
 		// Impaired, churned or stateful-pathology trials are aligned to
 		// the trial grid; with every knob off the classic run is
 		// reproduced untouched.
-		align:           churn || tb.Spec.Impair.Enabled() || tb.AlignPeriod > 0 || tb.SampleNAT64PerTrial,
-		convergeTimeout: convergeTimeout,
+		align: churn || tb.Spec.Impair.Enabled() || tb.AlignPeriod > 0 || tb.SampleNAT64PerTrial,
 		rep: &Report{
 			Classes:  make(map[metrics.Class]int),
 			Profiles: make(map[string]ProfileCount),
@@ -450,7 +434,7 @@ func (r *trialRunner) runTrial(spec DeviceSpec, join func() *hoststack.Host) {
 			for i := 0; i < r.opt.RebootsPerDevice; i++ {
 				tb.Gateway.Reboot()
 			}
-			dr.Reconverged, dr.ConvergeTime = probeConvergence(tb, c, spec, r.convergeTimeout)
+			dr.Reconverged, dr.ConvergeTime = probeConvergence(tb, c, spec)
 		}
 		cleanupReboots(tb)
 	}
@@ -538,9 +522,9 @@ func (r *trialRunner) finish() *Report {
 }
 
 // probeConvergence re-runs the device workload with exponential virtual
-// backoff until it succeeds or the timeout lapses, returning the
+// backoff until it succeeds or convergeTimeout lapses, returning the
 // virtual time from the last reboot to the first success.
-func probeConvergence(tb *testbed.Testbed, c *hoststack.Host, spec DeviceSpec, timeout time.Duration) (bool, time.Duration) {
+func probeConvergence(tb *testbed.Testbed, c *hoststack.Host, spec DeviceSpec) (bool, time.Duration) {
 	start := tb.Net.Clock.Now()
 	// Let the post-reboot RA reach the LAN before the first attempt.
 	tb.Net.RunFor(50 * time.Millisecond)
@@ -550,7 +534,7 @@ func probeConvergence(tb *testbed.Testbed, c *hoststack.Host, spec DeviceSpec, t
 		if informed || internet {
 			return true, tb.Net.Clock.Now().Sub(start)
 		}
-		if elapsed := tb.Net.Clock.Now().Sub(start); elapsed+backoff > timeout {
+		if elapsed := tb.Net.Clock.Now().Sub(start); elapsed+backoff > convergeTimeout {
 			return false, 0
 		}
 		tb.Net.RunFor(backoff)

@@ -56,10 +56,10 @@ func TestScenarioSC23VsSC24Counting(t *testing.T) {
 	// SC23 baseline: no DNS intervention.
 	optBase := testbed.DefaultOptions()
 	optBase.Poison = testbed.PoisonOff
-	base := Run(testbed.New(optBase), devices)
+	base := RunWith(testbed.New(optBase), devices, RunOptions{})
 
 	// SC24: wildcard intervention.
-	sc24 := Run(testbed.New(testbed.DefaultOptions()), devices)
+	sc24 := RunWith(testbed.New(testbed.DefaultOptions()), devices, RunOptions{})
 
 	if base.Joined != 30 || sc24.Joined != 30 {
 		t.Fatalf("joined %d/%d", base.Joined, sc24.Joined)
@@ -132,7 +132,7 @@ func TestAdoptionSweepReducesPoisonedExposure(t *testing.T) {
 	run := func(frac float64) int {
 		devices := Population(2, 25, AdoptionMix(frac))
 		tb := testbed.New(testbed.DefaultOptions())
-		Run(tb, devices)
+		RunWith(tb, devices, RunOptions{})
 		return len(tb.PoisonLog.Queries)
 	}
 	unrefreshed := run(0)
@@ -147,7 +147,7 @@ func TestNATBurdenCounters(t *testing.T) {
 		{Name: "console", Profile: profiles.NintendoSwitch()},
 		{Name: "phone", Profile: profiles.IOS()},
 	}
-	rep := Run(testbed.New(testbed.DefaultOptions()), devices)
+	rep := RunWith(testbed.New(testbed.DefaultOptions()), devices, RunOptions{})
 	if rep.NAT44LogEntries == 0 {
 		t.Error("the IPv4-only console's intervention fetch should have logged NAT44 sessions")
 	}
@@ -163,7 +163,7 @@ func TestEcholinkOnlyDeviceStillPollutesCount(t *testing.T) {
 	devices := []DeviceSpec{
 		{Name: "ham-laptop", Profile: profiles.Windows10(), EcholinkOnly: true},
 	}
-	rep := Run(testbed.New(testbed.DefaultOptions()), devices)
+	rep := RunWith(testbed.New(testbed.DefaultOptions()), devices, RunOptions{})
 	if rep.Informed != 0 {
 		t.Error("literal-only device was informed (DNS intervention should not touch it)")
 	}

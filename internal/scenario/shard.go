@@ -25,21 +25,17 @@ import (
 // flooding a single N-client world does — the speedup holds even on
 // one core.
 
-// WorldFactory builds one fresh, independent world for a shard.
-// testbed.Factory.Build satisfies it; any closure over testbed.Build
-// does too. It must be safe to call from multiple goroutines — which it
-// is whenever each call returns a brand-new Testbed.
-type WorldFactory func() (*testbed.Testbed, error)
-
-// SizedWorldFactory is WorldFactory for worlds whose resources scale
-// with the population they will run: the engine passes the number of
-// devices this particular world hosts (a shard's slice, or the full
-// population in a serial run), so a capacity-budgeted pathology
-// (pathology.FactorySized) can split a global pool pro rata and keep
-// serial ≡ sharded intact for exhaustion-driven failure modes.
+// SizedWorldFactory builds one fresh, independent world for a shard.
+// The engine passes the number of devices this particular world hosts
+// (a shard's slice, or the full population in a serial run), so a
+// capacity-budgeted pathology (pathology.FactorySized) can split a
+// global pool pro rata and keep serial ≡ sharded intact for
+// exhaustion-driven failure modes. It must be safe to call from
+// multiple goroutines — which it is whenever each call returns a
+// brand-new Testbed.
 type SizedWorldFactory func(devices int) (*testbed.Testbed, error)
 
-// ShardOptions parameterizes RunSharded.
+// ShardOptions parameterizes RunShardedSized.
 type ShardOptions struct {
 	// Shards is the number of worlds the population splits across
 	// (default 1, i.e. a serial run on a fresh world).
@@ -124,26 +120,17 @@ func deriveSeed(seed int64, shard int) int64 {
 	return int64(z ^ (z >> 31))
 }
 
-// RunSharded executes the population across opt.Shards freshly built
-// worlds and merges the per-shard reports. Each world is torn down with
-// Close as soon as its shard finishes. The partition, the per-shard
-// seeds and each world's simulation are all deterministic; only the
-// interleaving of workers varies between runs, and the merge is
-// insensitive to it. On a topology where device outcomes are
-// position-independent (see testbed.ScaleTopology), the merged report's
-// aggregate fields equal a serial Run's exactly.
-func RunSharded(factory WorldFactory, devices []DeviceSpec, opt ShardOptions) (*Report, error) {
-	if factory == nil {
-		return nil, errors.New("scenario: RunSharded needs a world factory")
-	}
-	return RunShardedSized(func(int) (*testbed.Testbed, error) { return factory() }, devices, opt)
-}
-
-// RunShardedSized is RunSharded for device-count-aware world factories:
-// each shard's world is built with that shard's own device count, which
-// is how a pathology Budget (a NAT64 port pool sized to quota × devices)
-// splits across worlds so the sharded run has exactly the serial run's
-// per-client capacity.
+// RunShardedSized executes the population across opt.Shards worlds and
+// merges the per-shard reports. Each world is built with its shard's
+// own device count, which is how a pathology Budget (a NAT64 port pool
+// sized to quota × devices) splits across worlds so the sharded run has
+// exactly the serial run's per-client capacity. Without a pool, each
+// world is torn down with Close as soon as its shard finishes. The
+// partition, the per-shard seeds and each world's simulation are all
+// deterministic; only the interleaving of workers varies between runs,
+// and the merge is insensitive to it. On a topology where device
+// outcomes are position-independent (see testbed.ScaleTopology), the
+// merged report's aggregate fields equal a serial RunWith's exactly.
 func RunShardedSized(factory SizedWorldFactory, devices []DeviceSpec, opt ShardOptions) (*Report, error) {
 	if factory == nil {
 		return nil, errors.New("scenario: RunShardedSized needs a world factory")

@@ -20,16 +20,16 @@ func TestShardedMatchesSerialAtScale(t *testing.T) {
 	const n = 1000
 	const seed = int64(1)
 	devices := Population(seed, n, DefaultMix())
-	fac := testbed.Factory{Spec: testbed.ScaleTopology(testbed.DefaultOptions(), n)}
+	spec := testbed.ScaleTopology(testbed.DefaultOptions(), n)
 
-	world, err := fac.Build()
+	world, err := testbed.Build(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial := Run(world, devices)
+	serial := RunWith(world, devices, RunOptions{})
 	world.Close()
 
-	sharded, err := RunSharded(fac.Build, devices, ShardOptions{Shards: 8, Seed: seed})
+	sharded, err := RunShardedSized(sized(spec), devices, ShardOptions{Shards: 8, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -81,7 +81,14 @@ func TestShardDevicesPartition(t *testing.T) {
 	}
 }
 
-// assertReportsMatch compares the aggregate fields RunSharded promises
+// sized is the world factory of tests that shard a fixed topology:
+// every world is a fresh testbed.Build of spec, whatever its device
+// count.
+func sized(spec testbed.Topology) SizedWorldFactory {
+	return func(int) (*testbed.Testbed, error) { return testbed.Build(spec) }
+}
+
+// assertReportsMatch compares the aggregate fields RunShardedSized promises
 // to reproduce, plus the per-device outcomes in order. HealthyQueries
 // is deliberately absent: the healthy resolver sits behind a per-world
 // cache, so its dedup depends on which devices share a world.
@@ -158,18 +165,18 @@ func TestShardedMatchesSerial(t *testing.T) {
 	const n = 24
 	for seed := int64(1); seed <= 5; seed++ {
 		devices := Population(seed, n, DefaultMix())
-		fac := testbed.Factory{Spec: testbed.ScaleTopology(testbed.DefaultOptions(), n)}
+		spec := testbed.ScaleTopology(testbed.DefaultOptions(), n)
 
-		world, err := fac.Build()
+		world, err := testbed.Build(spec)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		serial := Run(world, devices)
+		serial := RunWith(world, devices, RunOptions{})
 		world.Close()
 
 		for _, k := range []int{1, 2, 8} {
 			t.Run(fmt.Sprintf("seed%d/k%d", seed, k), func(t *testing.T) {
-				sharded, err := RunSharded(fac.Build, devices, ShardOptions{Shards: k, Seed: seed})
+				sharded, err := RunShardedSized(sized(spec), devices, ShardOptions{Shards: k, Seed: seed})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -195,17 +202,17 @@ func TestShardedMatchesSerialMultiCore(t *testing.T) {
 	const n = 24
 	const seed = int64(3)
 	devices := Population(seed, n, DefaultMix())
-	fac := testbed.Factory{Spec: testbed.ScaleTopology(testbed.DefaultOptions(), n)}
+	spec := testbed.ScaleTopology(testbed.DefaultOptions(), n)
 
-	world, err := fac.Build()
+	world, err := testbed.Build(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial := Run(world, devices)
+	serial := RunWith(world, devices, RunOptions{})
 	world.Close()
 
 	for run := 0; run < 3; run++ { // repeat to vary goroutine interleaving
-		sharded, err := RunSharded(fac.Build, devices, ShardOptions{Shards: 8, Workers: 4, Seed: seed})
+		sharded, err := RunShardedSized(sized(spec), devices, ShardOptions{Shards: 8, Workers: 4, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,30 +222,30 @@ func TestShardedMatchesSerialMultiCore(t *testing.T) {
 
 func TestRunShardedErrors(t *testing.T) {
 	devices := Population(1, 4, DefaultMix())
-	if _, err := RunSharded(nil, devices, ShardOptions{Shards: 2}); err == nil {
+	if _, err := RunShardedSized(nil, devices, ShardOptions{Shards: 2}); err == nil {
 		t.Error("nil factory accepted")
 	}
-	bad := func() (*testbed.Testbed, error) {
+	bad := func(int) (*testbed.Testbed, error) {
 		spec := testbed.DefaultTopology(testbed.DefaultOptions())
 		spec.GatewayLANv4 = spec.Gateway.WANv4 // outside the LAN: Build must reject
 		return testbed.Build(spec)
 	}
-	if _, err := RunSharded(bad, devices, ShardOptions{Shards: 2}); err == nil {
+	if _, err := RunShardedSized(bad, devices, ShardOptions{Shards: 2}); err == nil {
 		t.Error("factory failures not surfaced")
 	}
 }
 
 func TestMergeReportsAssociative(t *testing.T) {
 	devices := Population(2, 12, DefaultMix())
-	fac := testbed.Factory{Spec: testbed.ScaleTopology(testbed.DefaultOptions(), 12)}
+	spec := testbed.ScaleTopology(testbed.DefaultOptions(), 12)
 	shards := ShardDevices(2, devices, 3)
 	parts := make([]*Report, len(shards))
 	for i, s := range shards {
-		tb, err := fac.Build()
+		tb, err := testbed.Build(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		parts[i] = Run(tb, s.Devices)
+		parts[i] = RunWith(tb, s.Devices, RunOptions{})
 		tb.Close()
 	}
 	leftFold := MergeReports(MergeReports(parts[0], parts[1]), parts[2])

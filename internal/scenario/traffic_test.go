@@ -20,8 +20,8 @@ func TestTrafficWorkloadSmoke(t *testing.T) {
 		Pace:           2 * time.Millisecond,
 		ChurnFlows:     1,
 	}}
-	fac := testbed.Factory{Spec: testbed.ScaleTopology(testbed.DefaultOptions(), n)}
-	world, err := fac.Build()
+	spec := testbed.ScaleTopology(testbed.DefaultOptions(), n)
+	world, err := testbed.Build(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,9 +85,9 @@ func TestTrafficShardedMatchesSerial(t *testing.T) {
 	}}
 	for _, seed := range []int64{1, 2} {
 		devices := Population(seed, n, DefaultMix())
-		fac := testbed.Factory{Spec: testbed.ScaleTopology(testbed.DefaultOptions(), n)}
+		spec := testbed.ScaleTopology(testbed.DefaultOptions(), n)
 
-		world, err := fac.Build()
+		world, err := testbed.Build(spec)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -99,7 +99,7 @@ func TestTrafficShardedMatchesSerial(t *testing.T) {
 
 		for _, k := range []int{2, 8} {
 			t.Run(fmt.Sprintf("seed%d/k%d", seed, k), func(t *testing.T) {
-				sharded, err := RunSharded(fac.Build, devices, ShardOptions{
+				sharded, err := RunShardedSized(sized(spec), devices, ShardOptions{
 					Shards: k, Seed: seed, Run: opt,
 				})
 				if err != nil {

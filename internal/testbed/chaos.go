@@ -13,9 +13,10 @@ import (
 // reboot-churn regression test bounds how long that takes.
 //
 // Absolute-time churn perturbs every client that is up when the reboot
-// fires, so it is deliberately NOT used by the sharded chaos sweep
-// (whose reboots must be per-device to keep shard merges exact — see
-// scenario.ChaosSweep); it serves whole-world experiments and tests.
+// fires, so it is deliberately NOT used by the scenario engine's chaos
+// runs, whose reboots must be per-device trials to keep shard merges
+// exact (see scenario.RunOptions.RebootsPerDevice); it serves
+// whole-world experiments and tests.
 type ChurnSpec struct {
 	// FirstReboot is the virtual delay after settle before the first
 	// reboot (defaults to Every when zero).

@@ -467,7 +467,7 @@ func TestResetRewindsResolverCounters(t *testing.T) {
 		if err := tb.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
-		scenario.Run(tb, scenario.Population(1, 16, scenario.DefaultMix()))
+		scenario.RunWith(tb, scenario.Population(1, 16, scenario.DefaultMix()), scenario.RunOptions{})
 		moved := 0
 		for k, v := range resolverCounters(tb) {
 			if v != want[k] {

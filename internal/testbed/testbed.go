@@ -10,8 +10,8 @@
 // constructor for one-off experiments. Topology is the declarative
 // form: a plain-data spec (addressing, gateway, Pis, sites, clients,
 // link Impairment, reboot ChurnSpec) that Build assembles into a
-// running world and Factory rebuilds into arbitrarily many independent
-// copies — the hand-off point to scenario.RunSharded. ScaleTopology
+// running world, as many independent copies as it is called — the
+// hand-off point to the scenario engine. ScaleTopology
 // widens pools and stretches lease/session lifetimes so device outcomes
 // are position-independent, the precondition for shard-equality.
 // Chaos knobs thread through the same spec: Impair degrades every
@@ -128,8 +128,8 @@ func DefaultOptions() Options {
 // Testbed is the assembled Fig. 4 topology.
 type Testbed struct {
 	Opt Options
-	// Spec is the topology the world was built from; Snapshot turns it
-	// back into a factory for identical fresh worlds.
+	// Spec is the topology the world was built from; Build(Spec) makes
+	// an identical fresh world.
 	Spec Topology
 	Net  *netsim.Network
 

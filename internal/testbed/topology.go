@@ -610,18 +610,3 @@ func (tb *Testbed) buildDHCPPi(spec Topology) error {
 func (tb *Testbed) Close() {
 	tb.Net.Stop()
 }
-
-// Factory rebuilds fresh, fully independent copies of a world from its
-// spec. It is the hand-off point between the topology layer and the
-// scenario execution engine: Factory.Build is a scenario.WorldFactory.
-type Factory struct {
-	Spec Topology
-}
-
-// Build assembles a new world from the snapshot spec.
-func (f Factory) Build() (*Testbed, error) { return Build(f.Spec) }
-
-// Snapshot captures the built world's spec as a reusable factory.
-// Every world the factory builds is deterministic and identical to this
-// one (before any post-build mutation), but completely independent.
-func (tb *Testbed) Snapshot() Factory { return Factory{Spec: tb.Spec} }

@@ -97,21 +97,23 @@ func TestCloseFreezesWorld(t *testing.T) {
 	tb.Close() // idempotent
 }
 
+// TestSnapshotFactoryBuildsIndependentTwins pins what the scenario
+// engine relies on when it builds shard worlds: rebuilding a world from
+// its recorded Spec yields deterministic, fully independent twins.
 func TestSnapshotFactoryBuildsIndependentTwins(t *testing.T) {
 	spec := ScaleTopology(DefaultOptions(), 50)
 	tb, err := Build(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fac := tb.Snapshot()
 
-	twinA, err := fac.Build()
+	twinA, err := Build(tb.Spec)
 	if err != nil {
-		t.Fatalf("factory build A: %v", err)
+		t.Fatalf("build A: %v", err)
 	}
-	twinB, err := fac.Build()
+	twinB, err := Build(tb.Spec)
 	if err != nil {
-		t.Fatalf("factory build B: %v", err)
+		t.Fatalf("build B: %v", err)
 	}
 	// Twins are deterministic copies of each other...
 	if a, b := twinA.Net.FramesDelivered(), twinB.Net.FramesDelivered(); a != b {
